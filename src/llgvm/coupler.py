@@ -9,7 +9,9 @@ cross-term cancellation of the continuous energy balance; the audit
 quantifies what time centering leaves behind.
 
 The emergent electric field entering the particle force lags one step (the
-last computed half-step value), which keeps the update explicit.
+last computed half-step value), which keeps the update explicit.  Without
+particles there is no force to gather and no current: those phases are
+skipped and both field solvers run source-free.
 """
 
 from __future__ import annotations
@@ -117,10 +119,13 @@ def advance(state: SimState, dt: float) -> SimState:
     """Advance the coupled system by one step of size dt."""
     grid = state.mf.grid
 
-    e_tot, b_tot = _phase(state, "gather", total_force_fields, state)
-    particles = _phase(state, "push", lorentz_push, state.particles, e_tot, b_tot, dt)
-    _, j = _phase(state, "deposit", deposit, particles, grid)
-    j_s = _phase(state, "mollify", mollify, j, state.mollifier)
+    particles = state.particles
+    j = j_s = e_tot = None
+    if particles.count:
+        e_tot, b_tot = _phase(state, "gather", total_force_fields, state)
+        particles = _phase(state, "push", lorentz_push, particles, e_tot, b_tot, dt)
+        _, j = _phase(state, "deposit", deposit, particles, grid)
+        j_s = _phase(state, "mollify", mollify, j, state.mollifier)
     mf_new = _phase(state, "llg", step, state.mf, j_s, dt, state.ll_coeffs)
     e_half = _phase(state, "emergent", compute_e, state.mf, mf_new, dt)
     b_new = _phase(state, "emergent", compute_b, mf_new)
@@ -138,7 +143,9 @@ def advance(state: SimState, dt: float) -> SimState:
         ll_coeffs=state.ll_coeffs,
         ledger=state.ledger,  # finalized after the audit below
     )
-    residual = _phase(state, "ledger", energy_audit, state, next_state, dt, _current=(j, j_s))
+    residual = _phase(
+        state, "ledger", energy_audit, state, next_state, dt, _current=(j, j_s, e_tot)
+    )
     ledger = EnergyLedger(
         kinetic=kinetic_energy(particles),
         em_energy=em_energy(em_new),
@@ -153,30 +160,32 @@ def advance(state: SimState, dt: float) -> SimState:
 def energy_audit(state_prev: SimState, state_next: SimState, dt: float, _current=None) -> float:
     """Magnitude of the summed discrete coupling pairings.
 
-    The three pairings are the kinetic gain <j, K(e) + K(E)> (fields as
-    gathered: previous E, lagged e), the Maxwell loss -<K j, (E^n + E^{n+1})/2>
-    and the magnetization loss -<K j, e^{n+1/2}>.  Smoothing is self-adjoint
-    to rounding, so the sum isolates the time-centering error, which is
-    first order in dt.
+    The three pairings are the kinetic gain <j, K(E + e)> with the fields as
+    gathered (previous E, lagged e), the Maxwell loss
+    -<K j, (E^n + E^{n+1})/2> and the magnetization loss -<K j, e^{n+1/2}>.
+    Smoothing is self-adjoint to rounding, so the sum isolates the
+    time-centering error, which is first order in dt.
 
-    _current lets advance() reuse its deposited (j, K j) pair; recomputing
-    from state_next gives the identical result.
+    _current lets advance() reuse its (j, K j, K(E + e)) from the step, with
+    j = None when there were no particles; recomputing them from the two
+    states gives the identical result.
     """
     grid = state_next.mf.grid
-    mol = state_prev.mollifier
     if _current is not None:
-        j, j_s = _current
-    else:
+        j, j_s, e_tot = _current
+    elif state_next.particles.count:
         _, j = deposit(state_next.particles, grid)
-        j_s = mollify(j, mol)
-    if l2_norm(j) == 0.0:
+        j_s = mollify(j, state_prev.mollifier)
+        e_tot, _ = total_force_fields(state_prev)
+    else:
+        j = None
+    if j is None or l2_norm(j) == 0.0:
         return 0.0
-    e_lag = state_prev.emergent.e
     e_new = state_next.emergent.e
     e_prev_node = avg_E_to_nodes(state_prev.em)
     e_next_node = avg_E_to_nodes(state_next.em)
     e_mid = VectorField3(grid, 0.5 * (e_prev_node.values + e_next_node.values))
-    p_vlasov = l2_inner(j, mollify(e_lag, mol)) + l2_inner(j, mollify(e_prev_node, mol))
+    p_vlasov = l2_inner(j, e_tot)
     p_maxwell = -l2_inner(j_s, e_mid)
     p_llg = -l2_inner(j_s, e_new)
     return float(abs(p_vlasov + p_maxwell + p_llg))

@@ -18,21 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ContractViolation
-from .grid import VectorField3, _fft, _ifft_real
+from .grid import VectorField3, _fft, _partials
 from .magnetization import MagnetizationField, _check_norm
-
-
-def _partials(grid, values: np.ndarray) -> list[np.ndarray]:
-    """All three spectral partial derivatives of a (3, ...) field."""
-    spec = _fft(values)
-    return [_ifft_real(grid._ik[axis] * spec) for axis in range(3)]
 
 
 def compute_b(mf: MagnetizationField) -> VectorField3:
     """Emergent magnetic field, node-collocated."""
     _check_norm(mf)
     g = mf.grid
-    dm = _partials(g, mf.m)
+    dm = mf.gradient
     out = np.empty((3, *g.shape))
     for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
         out[i] = np.sum(mf.m * np.cross(dm[j], dm[k], axis=0), axis=0)
@@ -56,7 +50,7 @@ def compute_e(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: floa
         )
     m_mid = total / norms
     dm_dt = (mf_next.m - mf_prev.m) / dt
-    dm = _partials(g, m_mid)
+    dm = _partials(g, _fft(m_mid))
     out = np.empty((3, *g.shape))
     for i in range(3):
         out[i] = np.sum(m_mid * np.cross(dm[i], dm_dt, axis=0), axis=0)

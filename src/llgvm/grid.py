@@ -5,6 +5,11 @@ are exact on band-limited fields.  Odd-order derivatives zero the Nyquist
 mode (the interpolant's cosine Nyquist component has no representable
 derivative on the grid); even-order multipliers keep it.  All reductions use
 numpy's fixed pairwise summation, so results do not depend on thread count.
+
+Fields are real, so every transform is a real-data one: a spectrum holds the
+modes 0..Nz/2 of the last axis and all modes of the other two.  Every other
+mode of the last axis is the conjugate of a stored one, so Parseval sums
+count the interior modes of the halved axis twice (``parseval_weight``).
 """
 
 from __future__ import annotations
@@ -84,12 +89,23 @@ class PeriodicGrid:
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
     @cached_property
-    def wavenumbers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Physical wavevectors 2*pi*n/L per axis in FFT ordering."""
-        return tuple(
-            2.0 * np.pi * np.fft.fftfreq(n, d=h)
-            for n, h in zip(self.n_cells, self.spacing)
+    def mode_numbers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Integer mode numbers per axis in half-spectrum ordering.
+
+        The first two axes run over all modes in FFT order; the last holds
+        0..Nz/2, the Nyquist mode last.
+        """
+        nx, ny, nz = self.n_cells
+        return (
+            np.fft.fftfreq(nx, d=1.0 / nx),
+            np.fft.fftfreq(ny, d=1.0 / ny),
+            np.fft.rfftfreq(nz, d=1.0 / nz),
         )
+
+    @cached_property
+    def wavenumbers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Physical wavevectors 2*pi*n/L per axis in half-spectrum ordering."""
+        return tuple(2.0 * np.pi * n / l for n, l in zip(self.mode_numbers, self.box_length))
 
     @cached_property
     def _ik(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,36 +113,46 @@ class PeriodicGrid:
         out = []
         for axis in range(3):
             k = self.wavenumbers[axis].copy()
-            k[self.n_cells[axis] // 2] = 0.0
-            shape = [1, 1, 1]
-            shape[axis] = self.n_cells[axis]
-            out.append((1j * k).reshape(shape))
+            k[self.n_cells[axis] // 2] = 0.0  # Nyquist: the last entry of the halved axis
+            out.append(_along(axis, 1j * k))
         return tuple(out)
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        kx, ky, kz = self.wavenumbers
-        return (
-            kx[:, None, None] ** 2 + ky[None, :, None] ** 2 + kz[None, None, :] ** 2
-        )
+        return sum(_along(axis, k**2) for axis, k in enumerate(self.wavenumbers))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Boolean 2/3-rule mask over FFT modes (True = keep)."""
-        masks = []
-        for axis, n in enumerate(self.n_cells):
-            idx = np.abs(np.fft.fftfreq(n) * n)
-            keep = idx <= n // 3
-            shape = [1, 1, 1]
-            shape[axis] = n
-            masks.append(keep.reshape(shape))
-        return masks[0] & masks[1] & masks[2]
+        """Boolean 2/3-rule mask over the half spectrum (True = keep)."""
+        return self.box_mask([n // 3 for n in self.n_cells])
+
+    def box_mask(self, cut) -> np.ndarray:
+        """Modes whose mode number satisfies |n_i| <= cut[i] on every axis."""
+        keep = [
+            _along(axis, np.abs(n) <= c)
+            for axis, (n, c) in enumerate(zip(self.mode_numbers, cut))
+        ]
+        return keep[0] & keep[1] & keep[2]
+
+    @cached_property
+    def parseval_weight(self) -> np.ndarray:
+        """How often each stored mode occurs in the full spectrum (1 or 2)."""
+        w = np.full(self.n_cells[2] // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return _along(2, w)
 
     def dealiased_k_max_squared(self) -> float:
         """Largest |k|^2 surviving the 2/3 rule (corner mode)."""
         return float(
             sum((2.0 * np.pi * (n // 3) / l) ** 2 for n, l in zip(self.n_cells, self.box_length))
         )
+
+
+def _along(axis: int, vec: np.ndarray) -> np.ndarray:
+    """Reshape a per-axis vector so that it broadcasts along one grid axis."""
+    shape = [1, 1, 1]
+    shape[axis] = vec.size
+    return vec.reshape(shape)
 
 
 def _as_values(values, grid: PeriodicGrid, ncomp: int | None):
@@ -183,20 +209,32 @@ Field = ScalarField | VectorField3
 
 
 def _fft(values: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(values, axes=(-3, -2, -1))
+    """Half spectrum of a real array over its trailing three (grid) axes."""
+    return np.fft.rfftn(values, axes=(-3, -2, -1))
 
 
 def _ifft_real(spec: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(spec, axes=(-3, -2, -1)).real
+    """Real array from a half spectrum; the node counts are even by contract."""
+    nx, ny, nzh = spec.shape[-3:]
+    return np.fft.irfftn(spec, s=(nx, ny, 2 * (nzh - 1)), axes=(-3, -2, -1))
+
+
+def _partials(grid: PeriodicGrid, spec: np.ndarray) -> list[np.ndarray]:
+    """The three spectral partial derivatives of a field, from its half spectrum."""
+    return [_ifft_real(grid._ik[axis] * spec) for axis in range(3)]
+
+
+def _spectral_power(grid: PeriodicGrid, spec: np.ndarray, weight=1.0) -> float:
+    """sum_k weight(k) |spec(k)/N|^2 over the full spectrum, from the half spectrum."""
+    amp = spec / grid.n_nodes
+    return float(np.sum(grid.parseval_weight * weight * (amp.real**2 + amp.imag**2)))
 
 
 def grad(field: ScalarField) -> VectorField3:
     if not isinstance(field, ScalarField):
         raise ContractViolation("grad expects a scalar field")
     g = field.grid
-    spec = _fft(field.values)
-    out = np.stack([_ifft_real(g._ik[a] * spec) for a in range(3)])
-    return VectorField3(g, out)
+    return VectorField3(g, np.stack(_partials(g, _fft(field.values))))
 
 
 def div(field: VectorField3) -> ScalarField:
@@ -286,7 +324,5 @@ def hs_norm(field: Field, s: float) -> float:
     if not np.isfinite(s):
         raise ContractViolation("s must be finite")
     g = field.grid
-    spec = _fft(field.values) / g.n_nodes
-    weight = (1.0 + g.k_squared) ** s
-    power = np.sum(weight * (spec.real**2 + spec.imag**2))
+    power = _spectral_power(g, _fft(field.values), (1.0 + g.k_squared) ** s)
     return float(np.sqrt(g.volume * power))

@@ -18,16 +18,12 @@ node-wise renormalization onto the unit sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BlowUpError, ContractViolation, StateCorruption, TimeStepError
-from .grid import (
-    PeriodicGrid,
-    VectorField3,
-    _fft,
-    _ifft_real,
-)
+from .grid import PeriodicGrid, VectorField3, _fft, _ifft_real, _partials, _spectral_power
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -52,7 +48,11 @@ def unit_normalize(values: np.ndarray, blow_up_floor: float | None = None) -> np
 
 @dataclass(frozen=True, eq=False)
 class MagnetizationField:
-    """Unit-vector field m with its Zeeman constant h and Gilbert damping alpha."""
+    """Unit-vector field m with its Zeeman constant h and Gilbert damping alpha.
+
+    m is held as a read-only copy, so the spectrum and partial derivatives
+    cached on first use always describe it; with_m makes a new state.
+    """
 
     grid: PeriodicGrid
     m: np.ndarray  # shape (3, Nx, Ny, Nz), |m| = 1 node-wise
@@ -60,7 +60,7 @@ class MagnetizationField:
     alpha: float
 
     def __post_init__(self):
-        arr = np.asarray(self.m, dtype=np.float64)
+        arr = np.array(self.m, dtype=np.float64)  # a private copy, frozen below
         if arr.shape != (3, *self.grid.shape):
             raise ContractViolation("magnetization shape does not match grid")
         if not np.all(np.isfinite(arr)):
@@ -70,7 +70,17 @@ class MagnetizationField:
             raise StateCorruption(f"|m| deviates from 1 by {dev:.3e} (> 1e-12)")
         if self.alpha <= 0.0:
             raise ContractViolation("Gilbert damping alpha must be positive")
-        object.__setattr__(self, "m", arr)
+        object.__setattr__(self, "m", _read_only(arr))
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Half spectrum of m, taken once per state."""
+        return _read_only(_fft(self.m))
+
+    @cached_property
+    def gradient(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Spectral partials (d_x m, d_y m, d_z m), each of shape (3, Nx, Ny, Nz)."""
+        return tuple(_read_only(d) for d in _partials(self.grid, self.spectrum))
 
     def with_m(self, new_m: np.ndarray) -> "MagnetizationField":
         return replace(self, m=new_m)
@@ -108,15 +118,15 @@ class LLRhsParts:
     lambda_scalar: np.ndarray  # Lam = -m . bih(m)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _check_norm(mf: MagnetizationField, tol: float = 1e-6):
     dev = np.abs(np.sqrt(np.sum(mf.m**2, axis=0)) - 1.0).max()
     if dev > tol:
         raise StateCorruption(f"unit-norm invariant broken: deviation {dev:.3e}")
-
-
-def _deviation_spectrum(mf: MagnetizationField) -> np.ndarray:
-    u = mf.m - E3.reshape(3, 1, 1, 1)
-    return _fft(u)
 
 
 def energy(mf: MagnetizationField) -> float:
@@ -127,11 +137,12 @@ def energy(mf: MagnetizationField) -> float:
     """
     _check_norm(mf)
     g = mf.grid
-    spec = _deviation_spectrum(mf) / g.n_nodes
+    # m - e3 differs from m only in the k = 0 mode of m_z, by N in the
+    # unnormalized transform
+    spec = mf.spectrum.copy()
+    spec[2, 0, 0, 0] -= g.n_nodes
     k2 = g.k_squared
-    weight = k2 * k2 - k2 + mf.h_zeeman
-    power = np.sum(weight * (spec.real**2 + spec.imag**2))
-    return float(0.5 * g.volume * power)
+    return float(0.5 * g.volume * _spectral_power(g, spec, k2 * k2 - k2 + mf.h_zeeman))
 
 
 def apply_a(m: np.ndarray, xi: np.ndarray, alpha: float) -> np.ndarray:
@@ -143,7 +154,7 @@ def effective_field(mf: MagnetizationField) -> VectorField3:
     """h_eff = -(bih m + lap m + h (m - e3)), the negative energy gradient."""
     _check_norm(mf)
     g = mf.grid
-    spec = _fft(mf.m)
+    spec = mf.spectrum
     k2 = g.k_squared
     lap = _ifft_real(-k2 * spec)
     bih = _ifft_real(k2 * k2 * spec)
@@ -151,13 +162,13 @@ def effective_field(mf: MagnetizationField) -> VectorField3:
     return VectorField3(g, -(bih + lap + zeeman))
 
 
-def _rhs_with_spec(mf: MagnetizationField, j: VectorField3 | None):
+def _rhs(mf: MagnetizationField, j: VectorField3 | None):
     g = mf.grid
     if j is not None and j.grid != g:
         raise ContractViolation("current density lives on a different grid")
     alpha = mf.alpha
     m = mf.m
-    spec = _fft(m)
+    spec = mf.spectrum
     k2 = g.k_squared
     lap = _ifft_real(-k2 * spec)
     bih = _ifft_real(k2 * k2 * spec)
@@ -166,8 +177,7 @@ def _rhs_with_spec(mf: MagnetizationField, j: VectorField3 | None):
     drive = mf.h_zeeman * E3.reshape(3, 1, 1, 1) - lap
     if j is not None:
         jgrad = np.zeros_like(m)
-        for axis in range(3):
-            dm_axis = _ifft_real(g._ik[axis] * spec)
+        for axis, dm_axis in enumerate(mf.gradient):
             jgrad += j.values[axis] * dm_axis
         drive = drive - np.cross(m, jgrad, axis=0)
     f = drive - np.sum(drive * m, axis=0) * m  # tangential projection
@@ -179,7 +189,7 @@ def _rhs_with_spec(mf: MagnetizationField, j: VectorField3 | None):
         lambda_scalar=lam,
     )
     dmdt = (parts.f_term - parts.lambda_term - parts.a_term) / (1.0 + alpha**2)
-    return dmdt, parts, spec
+    return dmdt, parts
 
 
 def ll_rhs(mf: MagnetizationField, j: VectorField3 | None = None):
@@ -188,7 +198,7 @@ def ll_rhs(mf: MagnetizationField, j: VectorField3 | None = None):
     Lam is taken in its defining form -m . bih(m), so the returned rate is
     tangent to the sphere to rounding.
     """
-    dmdt, parts, _ = _rhs_with_spec(mf, j)
+    dmdt, parts = _rhs(mf, j)
     return VectorField3(mf.grid, dmdt), parts
 
 
@@ -225,7 +235,7 @@ def step(
         )
     g = mf.grid
     alpha2 = 1.0 + mf.alpha**2
-    dmdt, _, _ = _rhs_with_spec(mf, j)
+    dmdt, _ = _rhs(mf, j)
     k2 = g.k_squared
     denom = alpha2 + coeffs.stabilizer_c * dt * k2 * k2
     rhs_spec = _fft(dmdt) * g.dealias_mask

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolation, TimeStepError
-from .grid import PeriodicGrid, ScalarField, VectorField3, _fft, _ifft_real
+from .grid import PeriodicGrid, ScalarField, VectorField3, _along, _fft, _ifft_real
 
 log = logging.getLogger(__name__)
 
@@ -106,14 +106,10 @@ def cfl_limit(grid: PeriodicGrid, eps_r: float, mu_r: float) -> float:
 
 def _seven_point_symbol(grid: PeriodicGrid) -> np.ndarray:
     """Positive symbol of -div_edge(grad_fwd .): sum (2 - 2 cos(k h)) / h^2."""
-    parts = []
-    for axis in range(3):
-        k = grid.wavenumbers[axis]
-        h = grid.spacing[axis]
-        shape = [1, 1, 1]
-        shape[axis] = grid.n_cells[axis]
-        parts.append(((2.0 - 2.0 * np.cos(k * h)) / h**2).reshape(shape))
-    return parts[0] + parts[1] + parts[2]
+    return sum(
+        _along(axis, (2.0 - 2.0 * np.cos(k * h)) / h**2)
+        for axis, (k, h) in enumerate(zip(grid.wavenumbers, grid.spacing))
+    )
 
 
 def _discrete_wavevector(grid: PeriodicGrid, n_mode) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 from .config import RunConfig
 from .coupler import SimState, advance, make_initial_state
 from .errors import ConfigError, ContractViolation, DegenerateSliceError
-from .grid import PeriodicGrid, l2_norm
+from .grid import PeriodicGrid, ScalarField, l2_norm
 from .kinetic import (
     BumpMaxwellian,
     DeltaSpec,
@@ -130,8 +130,11 @@ def validate_dt(cfg: RunConfig, state: SimState) -> float:
 
 def ledger_row(state: SimState) -> dict:
     grid = state.mf.grid
-    rho_raw, _ = deposit(state.particles, grid)
-    rho = mollify(rho_raw, state.mollifier)  # the constraint carries K_eps rho
+    if state.particles.count:
+        rho_raw, _ = deposit(state.particles, grid)
+        rho = mollify(rho_raw, state.mollifier)  # the constraint carries K_eps rho
+    else:
+        rho = ScalarField.zeros(grid)
     led = state.ledger
     rho_norm = l2_norm(rho)
     gauss = gauss_residual(state.em, rho)
@@ -140,7 +143,7 @@ def ledger_row(state: SimState) -> dict:
     except DegenerateSliceError:
         q_mid = float("nan")
     try:
-        hopf = hopf_invariant(state.mf)
+        hopf = hopf_invariant(state.mf, state.emergent.b)
     except ContractViolation:
         hopf = float("nan")
     return {

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .grid import PeriodicGrid
+from .grid import PeriodicGrid, _fft, _ifft_real
 from .magnetization import MagnetizationField, unit_normalize
 
 TEXTURE_NAMES = ("uniform", "skyrmion_tube", "hopfion", "random_smooth")
@@ -71,8 +71,7 @@ def band_limit_unit(values: np.ndarray, grid: PeriodicGrid, cutoff_fraction: flo
     filt = np.exp(-grid.k_squared / (cutoff_fraction * k_nyq) ** 2)
     out = values
     for _ in range(passes):
-        spec = np.fft.fftn(out, axes=(-3, -2, -1)) * filt
-        out = unit_normalize(np.fft.ifftn(spec, axes=(-3, -2, -1)).real)
+        out = unit_normalize(_ifft_real(_fft(out) * filt))
     return out
 
 
@@ -122,15 +121,7 @@ def random_smooth_unit(
     """
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((3, *grid.shape))
-    spec = np.fft.fftn(white, axes=(-3, -2, -1))
-    masks = []
-    for axis, n in enumerate(grid.n_cells):
-        idx = np.abs(np.fft.fftfreq(n) * n)
-        shape = [1, 1, 1]
-        shape[axis] = n
-        masks.append((idx <= k_cut).reshape(shape))
-    spec *= masks[0] & masks[1] & masks[2]
-    u = np.fft.ifftn(spec, axes=(-3, -2, -1)).real
+    u = _ifft_real(_fft(white) * grid.box_mask((k_cut,) * 3))
     rms = np.sqrt(np.mean(u**2, axis=(1, 2, 3), keepdims=True))
     u /= np.maximum(rms, 1e-300)
     base = np.zeros_like(u)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DegenerateSliceError
-from .grid import VectorField3, _fft, _ifft_real, curl, div, l2_inner, l2_norm
+from .grid import VectorField3, _fft, _ifft_real, _spectral_power, div, l2_inner, l2_norm
 from .magnetization import MagnetizationField, _check_norm
 from .emergent import compute_b
 
@@ -73,17 +73,18 @@ def vector_potential(b: VectorField3) -> VectorField3:
     norm_b = l2_norm(b)
     if norm_b == 0.0:
         return VectorField3.zeros(g)
-    rel_div = l2_norm(div(b)) / norm_b
+    spec = _fft(b.values)
+    ik = g._ik
+    div_spec = ik[0] * spec[0] + ik[1] * spec[1] + ik[2] * spec[2]
+    rel_div = np.sqrt(g.volume * _spectral_power(g, div_spec)) / norm_b
     if rel_div > 1e-6:
         raise ContractViolation(
             f"input is not solenoidal (relative spectral divergence {rel_div:.3e} > 1e-6)"
         )
-    spec = _fft(b.values)
     mean_mag = float(np.sqrt(np.sum(np.abs(spec[:, 0, 0, 0]) ** 2)) / g.n_nodes)
     if mean_mag > 0.0:
         log.debug("removing k=0 mode of b with magnitude %.3e before curl inversion", mean_mag)
     spec[:, 0, 0, 0] = 0.0
-    ik = g._ik
     k2 = g.k_squared.copy()
     k2[0, 0, 0] = 1.0
     ax = (ik[1] * spec[2] - ik[2] * spec[1]) / k2
@@ -105,17 +106,20 @@ def _check_localized(mf: MagnetizationField, tol: float = 1e-6):
         )
 
 
-def helicity(mf: MagnetizationField) -> float:
-    """Emergent magnetic helicity <a, b> with b = curl a in the Coulomb gauge."""
-    b = compute_b(mf)
-    a = vector_potential(b)
-    return l2_inner(a, b)
+def helicity(mf: MagnetizationField, b: VectorField3 | None = None) -> float:
+    """Emergent magnetic helicity <a, b> with b = curl a in the Coulomb gauge.
+
+    b, when given, must be compute_b(mf), e.g. the emergent field a step
+    already holds.
+    """
+    b = compute_b(mf) if b is None else b
+    return l2_inner(vector_potential(b), b)
 
 
-def hopf_invariant(mf: MagnetizationField) -> float:
+def hopf_invariant(mf: MagnetizationField, b: VectorField3 | None = None) -> float:
     """Helicity divided by (4 pi)^2; integer-valued for smooth localized textures."""
     _check_localized(mf)
-    return helicity(mf) / FOUR_PI**2
+    return helicity(mf, b) / FOUR_PI**2
 
 
 @dataclass(frozen=True)

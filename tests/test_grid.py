@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from llgvm import (
+    MagnetizationField,
+    Mollifier,
     PeriodicGrid,
     ScalarField,
     VectorField3,
     biharmonic,
     curl,
+    dealias,
     div,
+    energy,
     grad,
     hs_norm,
     l2_inner,
@@ -18,6 +22,7 @@ from llgvm import (
     spectral_derivative,
 )
 from llgvm.errors import ContractViolation
+from llgvm.textures import random_smooth_unit
 
 from conftest import BOX, band_limited_scalar, band_limited_vector
 
@@ -187,3 +192,116 @@ class TestHsNorm:
             f = band_limited_scalar(grid16, 20 + seed)
             norms = [hs_norm(f, s) for s in (-1.0, 0.0, 0.5, 1.0, 2.0)]
             assert all(a <= b * (1 + 1e-13) for a, b in zip(norms, norms[1:]))
+
+
+class TestHalfSpectrum:
+    """Real-data transforms agree with a full complex-FFT reference.
+
+    The grid is non-cubic with unequal box lengths, so the halved last axis
+    differs from the other two in both node count and wavenumber spacing.
+    """
+
+    GRID = PeriodicGrid((8, 12, 16), (3.0, 5.0, 7.0))
+
+    @staticmethod
+    def _full_k(grid):
+        """Full-spectrum wavenumbers per axis, broadcastable, in FFT order."""
+        out = []
+        for axis, (n, h) in enumerate(zip(grid.n_cells, grid.spacing)):
+            shape = [1, 1, 1]
+            shape[axis] = n
+            out.append((2.0 * np.pi * np.fft.fftfreq(n, d=h)).reshape(shape))
+        return out
+
+    def _full_ik(self, grid):
+        out = []
+        for axis, k in enumerate(self._full_k(grid)):
+            k = k.copy()
+            k.reshape(-1)[grid.n_cells[axis] // 2] = 0.0
+            out.append(1j * k)
+        return out
+
+    def _full_k2(self, grid):
+        kx, ky, kz = self._full_k(grid)
+        return kx**2 + ky**2 + kz**2
+
+    @staticmethod
+    def _fftn(values):
+        return np.fft.fftn(values, axes=(-3, -2, -1))
+
+    @staticmethod
+    def _ifftn_real(spec):
+        return np.fft.ifftn(spec, axes=(-3, -2, -1)).real
+
+    @staticmethod
+    def _assert_close(actual, reference):
+        scale = max(float(np.abs(reference).max()), 1e-300)
+        assert float(np.abs(actual - reference).max()) <= 1e-12 * scale
+
+    def _fields(self):
+        v = band_limited_vector(self.GRID, 40, k_cut=3)
+        return v, v.component(1)
+
+    def test_derivatives_match_full_fft(self):
+        # white noise: every mode, the Nyquist planes of all axes included
+        g = self.GRID
+        v = VectorField3(g, np.random.default_rng(39).standard_normal((3, *g.shape)))
+        u = v.component(1)
+        ik = self._full_ik(g)
+        k2 = self._full_k2(g)
+        su, sv = self._fftn(u.values), self._fftn(v.values)
+        ref_grad = np.stack([self._ifftn_real(ik[a] * su) for a in range(3)])
+        self._assert_close(grad(u).values, ref_grad)
+        self._assert_close(div(v).values, self._ifftn_real(sum(ik[a] * sv[a] for a in range(3))))
+        ref_curl = np.stack(
+            [
+                self._ifftn_real(ik[1] * sv[2] - ik[2] * sv[1]),
+                self._ifftn_real(ik[2] * sv[0] - ik[0] * sv[2]),
+                self._ifftn_real(ik[0] * sv[1] - ik[1] * sv[0]),
+            ]
+        )
+        self._assert_close(curl(v).values, ref_curl)
+        self._assert_close(laplacian(v).values, self._ifftn_real(-k2 * sv))
+        self._assert_close(biharmonic(u).values, self._ifftn_real(k2 * k2 * su))
+
+    def test_dealias_matches_full_fft(self):
+        g = self.GRID
+        v = VectorField3(g, np.random.default_rng(41).standard_normal((3, *g.shape)))
+        keep = np.ones(g.shape, dtype=bool)
+        for axis, n in enumerate(g.n_cells):
+            shape = [1, 1, 1]
+            shape[axis] = n
+            keep &= (np.abs(np.fft.fftfreq(n) * n) <= n // 3).reshape(shape)
+        self._assert_close(dealias(v).values, self._ifftn_real(self._fftn(v.values) * keep))
+
+    def test_parseval_sums_match_full_fft(self):
+        g = self.GRID
+        _, u = self._fields()
+        k2 = self._full_k2(g)
+        amp = self._fftn(u.values) / g.n_nodes
+        for s in (-1.0, 0.0, 1.5):
+            ref = np.sqrt(g.volume * np.sum((1.0 + k2) ** s * np.abs(amp) ** 2))
+            assert hs_norm(u, s) == pytest.approx(ref, rel=1e-12)
+
+        mf = MagnetizationField(g, random_smooth_unit(g, 42, 0.3, 2), 0.5, 0.1)
+        dev = self._fftn(mf.m - np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1, 1)) / g.n_nodes
+        ref = 0.5 * g.volume * np.sum((k2 * k2 - k2 + mf.h_zeeman) * np.abs(dev) ** 2)
+        assert energy(mf) == pytest.approx(ref, rel=1e-12)
+
+    def test_mollifier_symbol_matches_full_fft(self):
+        g = self.GRID
+        mol = Mollifier.build(g, 1.2)
+        full = self._fftn(mol.kernel.values).real * g.cell_volume
+        self._assert_close(mol.symbol, full[:, :, : g.n_cells[2] // 2 + 1])
+        v, _ = self._fields()
+        ref = self._ifftn_real(self._fftn(v.values) * full)
+        self._assert_close(mol.apply_values(v.values), ref)
+
+    def test_nyquist_rule_on_halved_axis(self):
+        g = self.GRID
+        nz = g.n_cells[2]
+        cosine = np.broadcast_to((-1.0) ** np.arange(nz), g.shape)  # cos(pi z / h_z)
+        f = ScalarField(g, cosine)
+        assert np.all(grad(f).values == 0.0)
+        k_nyq = np.pi / g.spacing[2]
+        self._assert_close(laplacian(f).values, -(k_nyq**2) * cosine)

@@ -86,6 +86,40 @@ class TestEnergy:
             energy(mf)
 
 
+class TestCachedSpectrum:
+    def test_in_place_write_raises(self, grid16):
+        mf = random_unit_mf(grid16, 3)
+        with pytest.raises(ValueError):
+            mf.m[2, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            mf.m *= 1.0
+
+    def test_constructor_does_not_alias_the_input(self, grid16):
+        vals = uniform_texture(grid16)
+        mf = MagnetizationField(grid16, vals, H_ZEEMAN, ALPHA)
+        vals[2] = -1.0
+        assert np.all(mf.m[2] == 1.0)
+        assert vals.flags.writeable
+
+    def test_with_m_spectrum_is_the_transform_of_the_new_field(self, grid16):
+        mf = random_unit_mf(grid16, 4)
+        old_spectrum = mf.spectrum
+        new = random_smooth_unit(grid16, 5, 0.05, 1)
+        nxt = mf.with_m(new)
+        assert np.array_equal(nxt.spectrum, _fft(new))
+        assert not np.array_equal(nxt.spectrum, old_spectrum)
+        assert np.array_equal(mf.spectrum, _fft(mf.m))
+
+    def test_cached_gradient_is_the_spectral_gradient(self, grid16):
+        mf = random_unit_mf(grid16, 6)
+        for c in range(3):
+            ref = grad(ScalarField(grid16, mf.m[c])).values
+            for axis in range(3):
+                assert np.abs(mf.gradient[axis][c] - ref[axis]).max() < 1e-14
+        with pytest.raises(ValueError):
+            mf.gradient[0][0, 0, 0, 0] = 0.0
+
+
 class TestEffectiveField:
     def test_zero_at_ground_state(self, grid16):
         assert np.abs(effective_field(uniform_mf(grid16)).values).max() < 1e-12
