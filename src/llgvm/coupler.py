@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emergent import EmergentFieldPair, compute_b, compute_e
-from .errors import LLGVMError
-from .grid import VectorField3, l2_inner, l2_norm
+from .errors import ContractViolation, LLGVMError
+from .grid import ScalarField, VectorField3, l2_inner, l2_norm
 from .kinetic import ParticleEnsemble, deposit, lorentz_push
 from .magnetization import LLCoefficients, MagnetizationField, energy, step
 from .maxwell import EMFieldPair, avg_E_to_nodes, avg_B_to_nodes, em_energy, step_fields
@@ -66,6 +66,7 @@ class SimState:
     mollifier: Mollifier
     ll_coeffs: LLCoefficients
     ledger: EnergyLedger
+    rho: ScalarField  # raw charge density deposited from particles
 
 
 def make_initial_state(
@@ -74,7 +75,13 @@ def make_initial_state(
     em: EMFieldPair,
     mollifier: Mollifier,
     ll_coeffs: LLCoefficients | None = None,
+    rho: ScalarField | None = None,
 ) -> SimState:
+    """Initial state; rho is the raw deposited charge of particles, optional without any."""
+    if rho is None:
+        if particles.count:
+            raise ContractViolation("an initial state with particles needs their deposited charge")
+        rho = ScalarField.zeros(mf.grid)
     ledger = EnergyLedger(
         kinetic=kinetic_energy(particles),
         em_energy=em_energy(em),
@@ -93,6 +100,7 @@ def make_initial_state(
         mollifier=mollifier,
         ll_coeffs=ll_coeffs if ll_coeffs is not None else LLCoefficients.from_alpha(mf.alpha),
         ledger=ledger,
+        rho=rho,
     )
 
 
@@ -120,11 +128,12 @@ def advance(state: SimState, dt: float) -> SimState:
     grid = state.mf.grid
 
     particles = state.particles
+    rho = state.rho
     j = j_s = e_tot = None
     if particles.count:
         e_tot, b_tot = _phase(state, "gather", total_force_fields, state)
         particles = _phase(state, "push", lorentz_push, particles, e_tot, b_tot, dt)
-        _, j = _phase(state, "deposit", deposit, particles, grid)
+        rho, j = _phase(state, "deposit", deposit, particles, grid)
         j_s = _phase(state, "mollify", mollify, j, state.mollifier)
     mf_new = _phase(state, "llg", step, state.mf, j_s, dt, state.ll_coeffs)
     e_half = _phase(state, "emergent", compute_e, state.mf, mf_new, dt)
@@ -142,6 +151,7 @@ def advance(state: SimState, dt: float) -> SimState:
         mollifier=state.mollifier,
         ll_coeffs=state.ll_coeffs,
         ledger=state.ledger,  # finalized after the audit below
+        rho=rho,
     )
     residual = _phase(
         state, "ledger", energy_audit, state, next_state, dt, _current=(j, j_s, e_tot)

@@ -5,14 +5,17 @@ weight-histogram statistic are conserved structurally.  The velocity update
 is a Boris-type split with an exact Rodrigues rotation for the magnetic
 half, embedded in a drift-kick-drift step: it conserves speed exactly in a
 pure magnetic field and preserves phase-space volume.  Gather and deposit
-share the trilinear cloud-in-cell kernel; deposits accumulate in a canonical
-(cell, value) order so results are independent of particle order and thread
-count.
+share the trilinear cloud-in-cell kernel, and one stencil serves every field
+gathered at the same positions.  A deposit puts the particles in a canonical
+order, by wrapped x alone or, where two x values are equal, by the full key
+(x, y, z, vx, vy, vz, w), and sums each node's corner terms one after another
+in that order, so results are independent of particle order and thread count.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -195,22 +198,29 @@ def _cic_corners(grid: PeriodicGrid, positions: np.ndarray):
     return np.concatenate(idx), np.concatenate(wgt)
 
 
-def gather(field: VectorField3 | ScalarField, positions: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of a node-collocated field at particle positions."""
-    grid = field.grid
+def gather(fields: VectorField3 | Sequence[VectorField3], positions: np.ndarray):
+    """Trilinear interpolation of node-collocated vector fields at particle positions.
+
+    fields is one VectorField3, giving an (n, 3) array, or a sequence of
+    VectorField3 on one grid, giving a list of (n, 3) arrays that share one
+    CIC stencil.  Each value sums its eight corner terms in corner order.
+    """
+    single = isinstance(fields, VectorField3)
+    if single:
+        fields = (fields,)
     npart = len(positions)
-    if npart == 0:
-        shape = (0, 3) if isinstance(field, VectorField3) else (0,)
-        return np.zeros(shape)
-    idx, wgt = _cic_corners(grid, positions)
-    if isinstance(field, VectorField3):
-        flat = field.values.reshape(3, -1)
-        acc = flat[:, idx] * wgt
-        out = acc.reshape(3, 8, npart).sum(axis=1).T
-    else:
-        flat = field.values.reshape(-1)
-        out = (flat[idx] * wgt).reshape(8, npart).sum(axis=0)
-    return out
+    idx, wgt = _cic_corners(fields[0].grid, positions)
+    flats = [field.values.reshape(3, -1) for field in fields]
+    outs = [np.zeros((3, npart)) for _ in flats]
+    term = np.empty((3, npart))
+    for c in range(8):
+        corner = slice(c * npart, (c + 1) * npart)
+        for flat, out in zip(flats, outs):
+            np.take(flat, idx[corner], axis=1, out=term)
+            term *= wgt[corner]
+            out += term
+    outs = [out.T for out in outs]
+    return outs[0] if single else outs
 
 
 def _rodrigues_rotate(v: np.ndarray, rotvec: np.ndarray) -> np.ndarray:
@@ -241,8 +251,7 @@ def lorentz_push(
     grid = E_tot.grid
     box = np.asarray(grid.box_length)
     x_half = (p.positions + 0.5 * dt * p.velocities) % box
-    e_p = gather(E_tot, x_half)
-    b_p = gather(B_tot, x_half)
+    e_p, b_p = gather((E_tot, B_tot), x_half)
     if not (np.all(np.isfinite(e_p)) and np.all(np.isfinite(b_p))):
         raise BlowUpError("NaN in gathered fields")
     b_max = float(np.sqrt(np.sum(b_p**2, axis=1)).max(initial=0.0))
@@ -263,34 +272,36 @@ def lorentz_push(
 class _DepositPlan:
     """Canonically ordered CIC corner data shared by all densities of one ensemble.
 
-    Particles are first sorted by phase-space coordinates (and weight), then
-    corner entries are stably sorted per cell, so the per-cell summation
-    order does not depend on how the ensemble array happened to be ordered.
+    Particles are sorted by wrapped x with one stable argsort.  Where two x
+    values are equal that order is not unique, and the full key (x, y, z, vx,
+    vy, vz, w) sorts them lexicographically instead; without ties both give
+    the same order.  The corner entries are laid out corner-major in that
+    order and each node sums its entries one after another, so the per-node
+    summation order does not depend on how the ensemble array happened to be
+    ordered.
     """
 
     def __init__(self, p: ParticleEnsemble, grid: PeriodicGrid):
         self.grid = grid
         pos = p.positions % np.asarray(grid.box_length)
-        keys = (
-            p.weights,
-            p.velocities[:, 2], p.velocities[:, 1], p.velocities[:, 0],
-            pos[:, 2], pos[:, 1], pos[:, 0],
-        )
-        self.particle_order = np.lexsort(keys)
-        idx, wgt = _cic_corners(grid, pos[self.particle_order])
-        order = np.argsort(idx, kind="stable")
-        self.idx = idx[order]
-        self.wgt = wgt[order]
-        self.entry_of_particle = order % p.count
-        self.starts = np.flatnonzero(np.r_[True, self.idx[1:] != self.idx[:-1]])
-        self.cells = self.idx[self.starts]
+        order = np.argsort(pos[:, 0], kind="stable")
+        x = pos[order, 0]
+        if np.any(x[1:] == x[:-1]):
+            keys = (
+                p.weights,
+                p.velocities[:, 2], p.velocities[:, 1], p.velocities[:, 0],
+                pos[:, 2], pos[:, 1], pos[:, 0],
+            )
+            order = np.lexsort(keys)
+        self.particle_order = order
+        self.idx, self.wgt = _cic_corners(grid, pos[order])
 
     def accumulate(self, per_particle: np.ndarray) -> np.ndarray:
         """per_particle is in the caller's original particle order."""
         sorted_pp = per_particle[self.particle_order]
-        contrib = self.wgt * sorted_pp[self.entry_of_particle] / self.grid.cell_volume
-        out = np.zeros(self.grid.n_nodes)
-        out[self.cells] = np.add.reduceat(contrib, self.starts)
+        contrib = self.wgt.reshape(8, -1) * sorted_pp
+        contrib /= self.grid.cell_volume
+        out = np.bincount(self.idx, weights=contrib.reshape(-1), minlength=self.grid.n_nodes)
         return out.reshape(self.grid.shape)
 
 

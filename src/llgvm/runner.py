@@ -8,7 +8,7 @@ from pathlib import Path
 from .config import RunConfig
 from .coupler import SimState, advance, make_initial_state
 from .errors import ConfigError, ContractViolation, DegenerateSliceError
-from .grid import PeriodicGrid, ScalarField, l2_norm
+from .grid import PeriodicGrid, l2_norm
 from .kinetic import (
     BumpMaxwellian,
     DeltaSpec,
@@ -110,7 +110,7 @@ def build_state(cfg: RunConfig) -> SimState:
     rho0_s = mollify(rho0, mollifier)
     em = init_compatible(rho0_s, parse_modes(v["em.init_modes"]), v["em.eps_r"], v["em.mu_r"])
     coeffs = LLCoefficients.from_alpha(v["llg.alpha"], v["llg.stabilizer_c"])
-    return make_initial_state(mf, particles, em, mollifier, coeffs)
+    return make_initial_state(mf, particles, em, mollifier, coeffs, rho0)
 
 
 def validate_dt(cfg: RunConfig, state: SimState) -> float:
@@ -130,11 +130,9 @@ def validate_dt(cfg: RunConfig, state: SimState) -> float:
 
 def ledger_row(state: SimState) -> dict:
     grid = state.mf.grid
+    rho = state.rho  # the step's deposit; zero without particles
     if state.particles.count:
-        rho_raw, _ = deposit(state.particles, grid)
-        rho = mollify(rho_raw, state.mollifier)  # the constraint carries K_eps rho
-    else:
-        rho = ScalarField.zeros(grid)
+        rho = mollify(rho, state.mollifier)  # the constraint carries K_eps rho
     led = state.ledger
     rho_norm = l2_norm(rho)
     gauss = gauss_residual(state.em, rho)

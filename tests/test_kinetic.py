@@ -222,6 +222,25 @@ class TestDeposit:
         assert np.array_equal(rho_p.values, rho_q.values)
         assert np.array_equal(j_p.values, j_q.values)
 
+    def test_particle_order_invariance_with_ties(self, grid16):
+        # x on a coarse lattice, so many particles share it, plus exact
+        # duplicates: the canonical order has to fall back to the full key
+        rng = np.random.default_rng(1)
+        n = 700
+        pos = rng.random((n, 3)) * BOX
+        pos[:, 0] = rng.integers(0, 24, n) * (BOX / 24)
+        vel = rng.standard_normal((n, 3))
+        w = rng.random(n) / n
+        src, dst = rng.choice(n, (2, 60), replace=False)
+        pos[dst], vel[dst], w[dst] = pos[src], vel[src], w[src]
+        assert np.unique(pos[:, 0]).size < n
+        rho_p, j_p = deposit(ParticleEnsemble(pos, vel, w), grid16)
+        for seed in range(4):
+            perm = np.random.default_rng(seed).permutation(n)
+            rho_q, j_q = deposit(ParticleEnsemble(pos[perm], vel[perm], w[perm]), grid16)
+            assert np.array_equal(rho_p.values, rho_q.values)
+            assert np.array_equal(j_p.values, j_q.values)
+
     def test_resting_uniform_ensemble(self):
         grid = PeriodicGrid.cubic(8, BOX)
         n = 100000

@@ -1,18 +1,23 @@
-"""Transform budget of one coupled step plus its ledger row.
+"""Transform and deposit budget of one coupled step plus its ledger row.
 
 Every field transform is a real-data one, the spectrum and partials of m are
 taken once per state, and nothing transforms a field known to be zero.  The
-counts below are the whole budget; a change that adds a transform to the
-step must update them deliberately.
+particles of a state are deposited once, and the ledger reuses that charge.
+The counts below are the whole budget; a change that adds a transform or a
+deposit to the step must update them deliberately.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
-from llgvm import coupler, emergent, topology
+from llgvm import coupler, emergent, kinetic, topology
 from llgvm.config import parse_config_text
+from llgvm.grid import l2_norm
+from llgvm.maxwell import gauss_residual
 from llgvm.runner import build_state, ledger_row, validate_dt
-from llgvm.smoothing import Mollifier
+from llgvm.smoothing import Mollifier, mollify
 
 FFT_NAMES = ("fftn", "ifftn", "rfftn", "irfftn")
 
@@ -106,3 +111,29 @@ def test_audit_reuses_the_gathered_fields(monkeypatch):
     nxt = coupler.advance(state, dt)
     assert nxt.ledger.coupling_residual > 0.0
     assert applied == [False, False, False]  # gather E + e and B + b, mollify j
+
+
+def test_one_deposit_per_state(monkeypatch):
+    deposit = kinetic.deposit
+    deposited = []
+
+    def counted(p, grid):
+        deposited.append(p)
+        return deposit(p, grid)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "llgvm" and getattr(module, "deposit", None) is deposit:
+            monkeypatch.setattr(module, "deposit", counted)
+    cfg = parse_config_text(COUPLED16)
+    state = build_state(cfg)
+    dt = validate_dt(cfg, state)
+    ledger_row(state)
+    assert deposited == [state.particles]  # the charge init_compatible used
+    for _ in range(2):
+        deposited.clear()
+        state = coupler.advance(state, dt)
+        row = ledger_row(state)
+        assert deposited == [state.particles]
+    rho_raw, _ = deposit(state.particles, state.mf.grid)
+    rho = mollify(rho_raw, state.mollifier)
+    assert row["gauss_residual"] == gauss_residual(state.em, rho) / l2_norm(rho)
