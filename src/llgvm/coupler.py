@@ -23,7 +23,7 @@ import numpy as np
 from .emergent import EmergentFieldPair, compute_b, compute_e
 from .errors import ContractViolation, LLGVMError
 from .grid import ScalarField, VectorField3, l2_inner, l2_norm
-from .kinetic import ParticleEnsemble, deposit, lorentz_push
+from .kinetic import ParticleEnsemble, canonical, deposit, lorentz_push
 from .magnetization import LLCoefficients, MagnetizationField, energy, step
 from .maxwell import EMFieldPair, avg_E_to_nodes, avg_B_to_nodes, em_energy, step_fields
 from .smoothing import Mollifier, mollify
@@ -133,6 +133,7 @@ def advance(state: SimState, dt: float) -> SimState:
     if particles.count:
         e_tot, b_tot = _phase(state, "gather", total_force_fields, state)
         particles = _phase(state, "push", lorentz_push, particles, e_tot, b_tot, dt)
+        particles = canonical(particles, grid)
         rho, j = _phase(state, "deposit", deposit, particles, grid)
         j_s = _phase(state, "mollify", mollify, j, state.mollifier)
     mf_new = _phase(state, "llg", step, state.mf, j_s, dt, state.ll_coeffs)

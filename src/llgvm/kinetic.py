@@ -10,6 +10,9 @@ gathered at the same positions.  A deposit puts the particles in a canonical
 order, by wrapped x alone or, where two x values are equal, by the full key
 (x, y, z, vx, vy, vz, w), and sums each node's corner terms one after another
 in that order, so results are independent of particle order and thread count.
+A simulation state stores its ensemble in that canonical order after every
+push (see canonical): the sort after the next push meets nearly sorted data,
+and the deposit, finding the ensemble sorted, skips its sort.
 """
 
 from __future__ import annotations
@@ -172,30 +175,39 @@ def sample_initial(spec: F0Spec, n_particles: int, seed: int, grid: PeriodicGrid
 
 
 def _cic_corners(grid: PeriodicGrid, positions: np.ndarray):
-    """Trilinear corner indices and weights for every particle."""
-    n = np.asarray(grid.n_cells)
-    h = np.asarray(grid.spacing)
-    xi = positions / h
-    i0 = np.floor(xi).astype(np.int64)
-    frac = xi - i0
+    """Trilinear corner node indices and weights, each an (8, N) array.
+
+    Row c = 4 bx + 2 by + bz is the corner that takes the upper node along
+    each axis whose bit is set.  Its weight is (wx * wy) * wz and its flat
+    node index (ix * ny + iy) * nz + iz.
+    """
+    _, ny, nz = grid.n_cells
+    n = np.asarray(grid.n_cells)[:, None]
+    frac = np.empty((3, len(positions)))
+    np.divide(positions.T, np.asarray(grid.spacing)[:, None], out=frac)
+    lower = np.floor(frac)
+    frac -= lower
+    i0 = lower.astype(np.int64)
     i0 %= n
-    i1 = (i0 + 1) % n
-    idx = []
-    wgt = []
+    i1 = i0 + 1
+    i1[i1 == n] = 0
+    stride = np.array([[ny * nz], [nz], [1]])
+    i0 *= stride
+    i1 *= stride
+    np.subtract(1.0, frac, out=lower)
+    nodes = (i0, i1)
+    weights = (lower, frac)
+    idx = np.empty((8, len(positions)), dtype=np.int64)
+    wgt = np.empty((8, len(positions)))
     for bx in (0, 1):
         for by in (0, 1):
+            ixy = nodes[bx][0] + nodes[by][1]
+            wxy = weights[bx][0] * weights[by][1]
             for bz in (0, 1):
-                ix = i1[:, 0] if bx else i0[:, 0]
-                iy = i1[:, 1] if by else i0[:, 1]
-                iz = i1[:, 2] if bz else i0[:, 2]
-                w = (
-                    (frac[:, 0] if bx else 1.0 - frac[:, 0])
-                    * (frac[:, 1] if by else 1.0 - frac[:, 1])
-                    * (frac[:, 2] if bz else 1.0 - frac[:, 2])
-                )
-                idx.append((ix * n[1] + iy) * n[2] + iz)
-                wgt.append(w)
-    return np.concatenate(idx), np.concatenate(wgt)
+                c = 4 * bx + 2 * by + bz
+                np.add(ixy, nodes[bz][2], out=idx[c])
+                np.multiply(wxy, weights[bz][2], out=wgt[c])
+    return idx, wgt
 
 
 def gather(fields: VectorField3 | Sequence[VectorField3], positions: np.ndarray):
@@ -214,27 +226,46 @@ def gather(fields: VectorField3 | Sequence[VectorField3], positions: np.ndarray)
     outs = [np.zeros((3, npart)) for _ in flats]
     term = np.empty((3, npart))
     for c in range(8):
-        corner = slice(c * npart, (c + 1) * npart)
         for flat, out in zip(flats, outs):
-            np.take(flat, idx[corner], axis=1, out=term)
-            term *= wgt[corner]
+            # the indices are in range; mode="raise" would buffer out
+            np.take(flat, idx[c], axis=1, out=term, mode="clip")
+            term *= wgt[c]
             out += term
     outs = [out.T for out in outs]
     return outs[0] if single else outs
 
 
+def _rotate(v: np.ndarray, rotvec: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Rodrigues rotation of the columns of v (3, n) by rotvec (3, n), angle > 0."""
+    u = rotvec / angle
+    c = np.cos(angle)
+    dot = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    cross = np.empty_like(v)
+    np.subtract(u[1] * v[2], u[2] * v[1], out=cross[0])
+    np.subtract(u[2] * v[0], u[0] * v[2], out=cross[1])
+    np.subtract(u[0] * v[1], u[1] * v[0], out=cross[2])
+    cross *= np.sin(angle)
+    out = v * c
+    out += cross
+    u *= dot
+    u *= 1.0 - c
+    out += u
+    return out
+
+
 def _rodrigues_rotate(v: np.ndarray, rotvec: np.ndarray) -> np.ndarray:
-    """Rotate each row of v by the corresponding rotation vector (exact)."""
-    angle = np.sqrt(np.sum(rotvec**2, axis=1))
-    out = v.copy()
+    """Rotate each row of v by the corresponding rotation vector (exact).
+
+    Rows with a zero rotation vector come back unchanged.
+    """
+    r = rotvec.T
+    angle = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
     act = angle > 0.0
-    if not act.any():
-        return out
-    u = rotvec[act] / angle[act, None]
-    va = v[act]
-    c = np.cos(angle[act])[:, None]
-    s = np.sin(angle[act])[:, None]
-    out[act] = va * c + np.cross(u, va) * s + u * np.sum(u * va, axis=1)[:, None] * (1.0 - c)
+    if act.all():
+        return _rotate(v.T, r, angle).T
+    out = v.copy()
+    if act.any():
+        out[act] = _rotate(v[act].T, rotvec[act].T, angle[act]).T
     return out
 
 
@@ -249,12 +280,17 @@ def lorentz_push(
     if p.count == 0:
         return p
     grid = E_tot.grid
-    box = np.asarray(grid.box_length)
-    x_half = (p.positions + 0.5 * dt * p.velocities) % box
-    e_p, b_p = gather((E_tot, B_tot), x_half)
+    box = np.asarray(grid.box_length)[:, None]
+    # contiguous (3, n) rows, updated in place: x is x_half, then x_new, and v
+    # is v_minus, then v_plus, then v_new
+    x = p.positions.T.copy()
+    v = p.velocities.T.copy()
+    x += 0.5 * dt * v
+    x %= box
+    e_p, b_p = (f.T for f in gather((E_tot, B_tot), x.T))
     if not (np.all(np.isfinite(e_p)) and np.all(np.isfinite(b_p))):
         raise BlowUpError("NaN in gathered fields")
-    b_max = float(np.sqrt(np.sum(b_p**2, axis=1)).max(initial=0.0))
+    b_max = float(np.sqrt(b_p[0] * b_p[0] + b_p[1] * b_p[1] + b_p[2] * b_p[2]).max(initial=0.0))
     if dt * b_max > 1.0:
         warnings.warn(
             f"dt * |B|_max = {dt * b_max:.3g} > 1: gyration is under-resolved",
@@ -262,11 +298,45 @@ def lorentz_push(
             stacklevel=2,
         )
     half_kick = 0.5 * dt * CHARGE * e_p
-    v_minus = p.velocities + half_kick
-    v_plus = _rodrigues_rotate(v_minus, -CHARGE * dt * b_p)
-    v_new = v_plus + half_kick
-    x_new = (x_half + 0.5 * dt * v_new) % box
-    return ParticleEnsemble(x_new, v_new, p.weights)
+    v += half_kick
+    b_p *= -CHARGE * dt  # the rotation vectors
+    v = _rodrigues_rotate(v.T, b_p.T).T
+    v += half_kick
+    x += 0.5 * dt * v
+    x %= box
+    return ParticleEnsemble(x.T.copy(), v.T.copy(), p.weights)
+
+
+def _canonical_order(p: ParticleEnsemble, x: np.ndarray, box: np.ndarray) -> np.ndarray | None:
+    """Permutation that puts p, with wrapped x coordinates x, in canonical order.
+
+    None means p is in that order already: its wrapped x strictly increases,
+    so the sort would return the identity and meet no tie.
+    """
+    if np.all(x[1:] > x[:-1]):
+        return None
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    if np.any(x[1:] == x[:-1]):
+        pos = p.positions % box
+        keys = (
+            p.weights,
+            p.velocities[:, 2], p.velocities[:, 1], p.velocities[:, 0],
+            pos[:, 2], pos[:, 1], pos[:, 0],
+        )
+        order = np.lexsort(keys)
+    return order
+
+
+def canonical(p: ParticleEnsemble, grid: PeriodicGrid) -> ParticleEnsemble:
+    """p permuted into the canonical order of the deposit; p itself if it is in it."""
+    box = np.asarray(grid.box_length)
+    order = _canonical_order(p, p.positions[:, 0] % box[0], box)
+    if order is None:
+        return p
+    return ParticleEnsemble(
+        np.take(p.positions, order, axis=0), np.take(p.velocities, order, axis=0), p.weights[order]
+    )
 
 
 class _DepositPlan:
@@ -278,28 +348,26 @@ class _DepositPlan:
     the same order.  The corner entries are laid out corner-major in that
     order and each node sums its entries one after another, so the per-node
     summation order does not depend on how the ensemble array happened to be
-    ordered.
+    ordered.  A simulation state stores its ensemble in canonical order (see
+    canonical); for such an ensemble the plan skips the sort and both
+    permutations.
     """
 
     def __init__(self, p: ParticleEnsemble, grid: PeriodicGrid):
         self.grid = grid
-        pos = p.positions % np.asarray(grid.box_length)
-        order = np.argsort(pos[:, 0], kind="stable")
-        x = pos[order, 0]
-        if np.any(x[1:] == x[:-1]):
-            keys = (
-                p.weights,
-                p.velocities[:, 2], p.velocities[:, 1], p.velocities[:, 0],
-                pos[:, 2], pos[:, 1], pos[:, 0],
-            )
-            order = np.lexsort(keys)
-        self.particle_order = order
-        self.idx, self.wgt = _cic_corners(grid, pos[order])
+        box = np.asarray(grid.box_length)
+        pos = p.positions % box
+        self.particle_order = _canonical_order(p, pos[:, 0], box)
+        if self.particle_order is not None:
+            pos = np.take(pos, self.particle_order, axis=0)
+        idx, self.wgt = _cic_corners(grid, pos)
+        self.idx = idx.reshape(-1)
 
     def accumulate(self, per_particle: np.ndarray) -> np.ndarray:
         """per_particle is in the caller's original particle order."""
-        sorted_pp = per_particle[self.particle_order]
-        contrib = self.wgt.reshape(8, -1) * sorted_pp
+        if self.particle_order is not None:
+            per_particle = per_particle[self.particle_order]
+        contrib = self.wgt * per_particle
         contrib /= self.grid.cell_volume
         out = np.bincount(self.idx, weights=contrib.reshape(-1), minlength=self.grid.n_nodes)
         return out.reshape(self.grid.shape)

@@ -1,5 +1,7 @@
 """Full coupled step, energy ledger, and the cross-term audit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from llgvm.errors import LLGVMError, TimeStepError
 from llgvm.kinetic import ParticleEnsemble
 from llgvm.magnetization import MagnetizationField
 from llgvm.maxwell import init_compatible
-from llgvm.runner import build_state, validate_dt
+from llgvm.runner import build_state, ledger_row, validate_dt
 from llgvm.textures import skyrmion_tube, uniform_texture
 
 from conftest import band_limited_vector
@@ -23,6 +25,13 @@ def bare_state(grid, m_values):
     em = init_compatible(ScalarField.zeros(grid))
     mol = Mollifier.build(grid, 4.0 * grid.spacing[0])
     return make_initial_state(mf, ParticleEnsemble.empty(), em, mol)
+
+
+def _same_row(a, b):
+    """Bitwise equal ledger rows; the Hopf column is nan at 16^3."""
+    return a.keys() == b.keys() and np.array_equal(
+        list(a.values()), list(b.values()), equal_nan=True
+    )
 
 
 class TestAdvance:
@@ -69,6 +78,35 @@ class TestAdvance:
 
         assert div_b_norm(state.em) < 1e-12
         assert state.t == pytest.approx(5 * dt)
+
+    def test_state_keeps_ensemble_in_canonical_order(self):
+        cfg = parse_config_text("grid.n = 16\nkinetic.n_particles = 400\nrun.dt = 5e-4\n")
+        first = build_state(cfg)
+        dt = validate_dt(cfg, first)
+        p = first.particles
+        perm = np.random.default_rng(2).permutation(p.count)
+        permuted = ParticleEnsemble(p.positions[perm], p.velocities[perm], p.weights[perm])
+        second = replace(first, particles=permuted)
+        rows = [ledger_row(first), ledger_row(second)]
+        # the initial kinetic energy sums over particles in sampling order, so
+        # it and the total may differ at rounding level between the two runs
+        for key in ("kinetic", "total"):
+            assert rows[1][key] == pytest.approx(rows[0][key], rel=1e-14)
+            del rows[0][key], rows[1][key]
+        assert _same_row(rows[0], rows[1])
+        box = np.asarray(first.mf.grid.box_length)
+        for _ in range(3):
+            first, second = advance(first, dt), advance(second, dt)
+            q = first.particles
+            x = q.positions[:, 0] % box[0]
+            assert np.all(x[1:] > x[:-1])  # no ties here, so x alone sets the order
+            pos = q.positions % box
+            keys = (q.weights, *q.velocities.T[::-1], *pos.T[::-1])
+            assert np.array_equal(np.lexsort(keys), np.arange(q.count))
+            for name in ("positions", "velocities", "weights"):
+                assert np.array_equal(getattr(q, name), getattr(second.particles, name))
+            assert np.array_equal(first.rho.values, second.rho.values)
+            assert _same_row(ledger_row(first), ledger_row(second))
 
 
 class TestEnergyAudit:

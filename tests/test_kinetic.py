@@ -21,7 +21,13 @@ from llgvm import (
     sample_initial,
 )
 from llgvm.errors import BlowUpError, ConfigError, ContractViolation
-from llgvm.kinetic import ParticleEnsemble, analytic_m2, lp_norm_of_field, moment_exponent_exact
+from llgvm.kinetic import (
+    ParticleEnsemble,
+    _rodrigues_rotate,
+    analytic_m2,
+    lp_norm_of_field,
+    moment_exponent_exact,
+)
 
 from conftest import BOX, band_limited_vector
 
@@ -188,6 +194,21 @@ class TestLorentzPush:
         with pytest.raises(BlowUpError):
             lorentz_push(p, efield, VectorField3.zeros(grid16), 1e-2)
 
+    def test_rodrigues_mixed_zero_rotations(self):
+        # rows with a zero rotation vector take no part in the rotation
+        rng = np.random.default_rng(4)
+        n = 300
+        v = rng.standard_normal((n, 3))
+        rotvec = 0.7 * rng.standard_normal((n, 3))
+        zero = rng.random(n) < 0.3
+        rotvec[zero] = 0.0
+        assert zero.any() and not zero.all()
+        out = _rodrigues_rotate(v, rotvec)
+        assert np.array_equal(out[zero], v[zero])
+        assert np.array_equal(out[~zero], _rodrigues_rotate(v[~zero], rotvec[~zero]))
+        speeds = np.sqrt(np.sum(out**2, axis=1)) / np.sqrt(np.sum(v**2, axis=1))
+        assert np.abs(speeds - 1.0).max() < 1e-14
+
 
 class TestDeposit:
     def test_particle_on_node(self, grid16):
@@ -235,8 +256,10 @@ class TestDeposit:
         pos[dst], vel[dst], w[dst] = pos[src], vel[src], w[src]
         assert np.unique(pos[:, 0]).size < n
         rho_p, j_p = deposit(ParticleEnsemble(pos, vel, w), grid16)
-        for seed in range(4):
-            perm = np.random.default_rng(seed).permutation(n)
+        perms = [np.random.default_rng(seed).permutation(n) for seed in range(4)]
+        # x already non-decreasing, tied x in no particular order
+        perms.append(perms[0][np.argsort(pos[perms[0], 0], kind="stable")])
+        for perm in perms:
             rho_q, j_q = deposit(ParticleEnsemble(pos[perm], vel[perm], w[perm]), grid16)
             assert np.array_equal(rho_p.values, rho_q.values)
             assert np.array_equal(j_p.values, j_q.values)
@@ -258,6 +281,40 @@ class TestDeposit:
         pos = rng.random((50, 3)) * BOX
         gathered = gather(field, pos)
         assert np.abs(gathered - np.array([0.3, -1.0, 2.0])).max() < 1e-14
+
+    def test_gather_matches_reference(self):
+        # unequal cell counts and box lengths, so a swapped axis or stride
+        # shows; some particles sit exactly on nodes or on upper cell faces
+        shape, box = (8, 12, 16), (5.0, 7.0, 11.0)
+        grid = PeriodicGrid(shape, box)
+        h = np.asarray(grid.spacing)
+        rng = np.random.default_rng(8)
+        fields = [VectorField3(grid, rng.standard_normal((3, *shape))) for _ in range(2)]
+        pos = rng.random((300, 3)) * box
+        pos[:30] = rng.integers(0, shape, (30, 3)) * h
+        cells = rng.integers(0, shape, (30, 3))
+        axes = rng.integers(0, 3, 30)
+        pos[30 + np.arange(30), axes] = (cells[np.arange(30), axes] + 1) * h[axes]
+
+        def reference(values, x):
+            xi = [x[a] / grid.spacing[a] for a in range(3)]
+            lower = [np.floor(v) for v in xi]
+            total = np.zeros(3)
+            for bx in (0, 1):
+                for by in (0, 1):
+                    for bz in (0, 1):
+                        bits = (bx, by, bz)
+                        frac = [xi[a] - lower[a] for a in range(3)]
+                        w = [frac[a] if bits[a] else 1.0 - frac[a] for a in range(3)]
+                        node = [(int(lower[a]) + bits[a]) % shape[a] for a in range(3)]
+                        total = total + values[:, node[0], node[1], node[2]] * (w[0] * w[1] * w[2])
+            return total
+
+        gathered = gather(fields, pos)
+        for field, values in zip(fields, gathered):
+            expected = np.array([reference(field.values, x) for x in pos])
+            assert np.array_equal(values, expected)
+        assert np.array_equal(gather(fields[0], pos), gathered[0])
 
     def test_empty_ensemble(self, grid16):
         rho, j = deposit(ParticleEnsemble.empty(), grid16)

@@ -1,10 +1,13 @@
-"""Transform and deposit budget of one coupled step plus its ledger row.
+"""Transform, stencil and deposit budget of one coupled step plus its ledger row.
 
 Every field transform is a real-data one, the spectrum and partials of m are
 taken once per state, and nothing transforms a field known to be zero.  The
 particles of a state are deposited once, and the ledger reuses that charge.
-The counts below are the whole budget; a change that adds a transform or a
-deposit to the step must update them deliberately.
+A step builds two CIC stencils, one for the gather at the half-step
+positions and one for the deposit at the new ones, and an ensemble kept in
+canonical order needs no full-key sort when its x values do not tie.  The
+counts below are the whole budget; a change that adds a transform, a stencil
+or a deposit to the step must update them deliberately.
 """
 
 import sys
@@ -137,3 +140,38 @@ def test_one_deposit_per_state(monkeypatch):
     rho_raw, _ = deposit(state.particles, state.mf.grid)
     rho = mollify(rho_raw, state.mollifier)
     assert row["gauss_residual"] == gauss_residual(state.em, rho) / l2_norm(rho)
+
+
+@pytest.mark.parametrize(
+    "cfg_text, built, per_step",
+    [(HOPFION16, 0, 0), (COUPLED16, 1, 2)],
+    ids=["hopfion16", "coupled16"],
+)
+def test_stencils_per_state(monkeypatch, cfg_text, built, per_step):
+    cic_corners = kinetic._cic_corners
+    stencils = []
+    lexsorts = []
+
+    def counted(grid, positions):
+        stencils.append(len(positions))
+        return cic_corners(grid, positions)
+
+    lexsort = np.lexsort
+
+    def counted_lexsort(keys, *args, **kwargs):
+        lexsorts.append(len(keys))
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(kinetic, "_cic_corners", counted)
+    cfg = parse_config_text(cfg_text)
+    state = build_state(cfg)
+    dt = validate_dt(cfg, state)
+    ledger_row(state)
+    assert len(stencils) == built  # the deposit for init_compatible
+    monkeypatch.setattr(np, "lexsort", counted_lexsort)
+    for _ in range(2):
+        stencils.clear()
+        state = coupler.advance(state, dt)
+        ledger_row(state)
+        assert len(stencils) == per_step
+    assert lexsorts == []  # the coupled16 ensemble has no tied x
