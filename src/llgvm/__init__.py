@@ -26,7 +26,6 @@ from .grid import (
     l2_inner,
     l2_norm,
     laplacian,
-    spectral_derivative,
 )
 from .kinetic import (
     BumpMaxwellian,

@@ -67,7 +67,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg.values["run.seed"] = args.seed
         cfg.values["kinetic.seed"] = args.seed
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         raise ConfigError("--threads must be >= 1")
     # All kernels reduce in a fixed order; the thread cap cannot change results.
     run_simulation(cfg, output_dir=args.output)

@@ -6,7 +6,8 @@ magnetization with that same smoothed current, recompute the emergent pair,
 advance the Maxwell fields with the same smoothed current, then update the
 ledger.  Using one smoothed current for both consumers preserves the
 cross-term cancellation of the continuous energy balance; the audit
-quantifies what time centering leaves behind.
+(energy_audit), fed the step's own current, smoothed current and gathered
+field, quantifies what time centering leaves behind.
 
 The emergent electric field entering the particle force lags one step (the
 last computed half-step value), which keeps the update explicit.  Without
@@ -16,7 +17,7 @@ skipped and both field solvers run source-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,7 +143,16 @@ def advance(state: SimState, dt: float) -> SimState:
     em_new = _phase(state, "maxwell", step_fields, state.em, j_s, dt)
 
     dm_rate_sq = float(np.sum((mf_new.m - state.mf.m) ** 2)) * grid.cell_volume / dt**2
-    next_state = SimState(
+    residual = _phase(state, "ledger", energy_audit, state.em, em_new, e_half, j, j_s, e_tot)
+    ledger = EnergyLedger(
+        kinetic=kinetic_energy(particles),
+        em_energy=em_energy(em_new),
+        micromagnetic=_phase(state, "ledger", energy, mf_new),
+        dissipation_cum=state.ledger.dissipation_cum + state.mf.alpha * dt * dm_rate_sq,
+        coupling_residual=residual,
+    )
+    _phase(state, "ledger", ledger.validate)
+    return SimState(
         t=state.t + dt,
         step_index=state.step_index + 1,
         mf=mf_new,
@@ -151,51 +161,35 @@ def advance(state: SimState, dt: float) -> SimState:
         emergent=EmergentFieldPair(e_half, b_new),
         mollifier=state.mollifier,
         ll_coeffs=state.ll_coeffs,
-        ledger=state.ledger,  # finalized after the audit below
+        ledger=ledger,
         rho=rho,
     )
-    residual = _phase(
-        state, "ledger", energy_audit, state, next_state, dt, _current=(j, j_s, e_tot)
-    )
-    ledger = EnergyLedger(
-        kinetic=kinetic_energy(particles),
-        em_energy=em_energy(em_new),
-        micromagnetic=_phase(state, "ledger", energy, mf_new),
-        dissipation_cum=state.ledger.dissipation_cum + state.mf.alpha * dt * dm_rate_sq,
-        coupling_residual=residual,
-    )
-    ledger.validate()
-    return replace(next_state, ledger=ledger)
 
 
-def energy_audit(state_prev: SimState, state_next: SimState, dt: float, _current=None) -> float:
-    """Magnitude of the summed discrete coupling pairings.
+def energy_audit(
+    em_prev: EMFieldPair,
+    em_next: EMFieldPair,
+    e_new: VectorField3,
+    j: VectorField3 | None,
+    j_s: VectorField3 | None,
+    e_tot: VectorField3 | None,
+) -> float:
+    """Magnitude of the summed discrete coupling pairings of one step.
 
-    The three pairings are the kinetic gain <j, K(E + e)> with the fields as
-    gathered (previous E, lagged e), the Maxwell loss
-    -<K j, (E^n + E^{n+1})/2> and the magnetization loss -<K j, e^{n+1/2}>.
-    Smoothing is self-adjoint to rounding, so the sum isolates the
-    time-centering error, which is first order in dt.
-
-    _current lets advance() reuse its (j, K j, K(E + e)) from the step, with
-    j = None when there were no particles; recomputing them from the two
-    states gives the identical result.
+    The arguments are the step's own values: the Maxwell fields before and
+    after it, the new emergent electric field e^{n+1/2}, the deposited
+    current j, its smoothing K j and the gathered total K(E + e); j is None
+    when there are no particles.  The three pairings are the kinetic gain
+    <j, K(E + e)> with the fields as gathered (previous E, lagged e), the
+    Maxwell loss -<K j, (E^n + E^{n+1})/2> and the magnetization loss
+    -<K j, e^{n+1/2}>.  Smoothing is self-adjoint to rounding, so the sum
+    isolates the time-centering error, which is first order in dt.
     """
-    grid = state_next.mf.grid
-    if _current is not None:
-        j, j_s, e_tot = _current
-    elif state_next.particles.count:
-        _, j = deposit(state_next.particles, grid)
-        j_s = mollify(j, state_prev.mollifier)
-        e_tot, _ = total_force_fields(state_prev)
-    else:
-        j = None
     if j is None or l2_norm(j) == 0.0:
         return 0.0
-    e_new = state_next.emergent.e
-    e_prev_node = avg_E_to_nodes(state_prev.em)
-    e_next_node = avg_E_to_nodes(state_next.em)
-    e_mid = VectorField3(grid, 0.5 * (e_prev_node.values + e_next_node.values))
+    e_prev_node = avg_E_to_nodes(em_prev)
+    e_next_node = avg_E_to_nodes(em_next)
+    e_mid = VectorField3(j.grid, 0.5 * (e_prev_node.values + e_next_node.values))
     p_vlasov = l2_inner(j, e_tot)
     p_maxwell = -l2_inner(j_s, e_mid)
     p_llg = -l2_inner(j_s, e_new)

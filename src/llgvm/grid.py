@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import ContractViolation
 
-_DERIVATIVE_KINDS = ("grad", "div", "curl", "laplacian", "biharmonic")
-
 
 @dataclass(frozen=True)
 class PeriodicGrid:
@@ -274,21 +272,6 @@ def biharmonic(field: Field) -> Field:
     spec = _fft(field.values) * (g.k_squared * g.k_squared)
     vals = _ifft_real(spec)
     return type(field)(g, vals)
-
-
-def spectral_derivative(field: Field, kind: str) -> Field:
-    """Dispatch to one of grad/div/curl/laplacian/biharmonic with rank checks."""
-    if kind not in _DERIVATIVE_KINDS:
-        raise ContractViolation(f"unknown derivative kind {kind!r}")
-    if kind == "grad":
-        return grad(field)
-    if kind == "div":
-        return div(field)
-    if kind == "curl":
-        return curl(field)
-    if kind == "laplacian":
-        return laplacian(field)
-    return biharmonic(field)
 
 
 def dealias(field: Field) -> Field:

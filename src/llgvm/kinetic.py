@@ -81,19 +81,19 @@ class BumpMaxwellian:
 
 @dataclass(frozen=True)
 class UniformMaxwellian:
+    """Uniform in space times a Maxwellian at rest."""
+
     v_thermal: float
     mass: float = 1.0
-    drift: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
 class TwoStream:
-    """Two counter-streaming Maxwellian beams along one axis, uniform in space."""
+    """Two counter-streaming Maxwellian beams along x (drift +-v_drift), uniform in space."""
 
     v_drift: float
     v_thermal: float
     mass: float = 1.0
-    axis: int = 0
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def analytic_m2(spec: F0Spec) -> float:
     if isinstance(spec, BumpMaxwellian):
         return spec.mass * 3.0 * spec.v_thermal**2
     if isinstance(spec, UniformMaxwellian):
-        return spec.mass * (3.0 * spec.v_thermal**2 + float(np.dot(spec.drift, spec.drift)))
+        return spec.mass * (3.0 * spec.v_thermal**2)
     if isinstance(spec, TwoStream):
         return spec.mass * (3.0 * spec.v_thermal**2 + spec.v_drift**2)
     if isinstance(spec, DeltaSpec):
@@ -154,15 +154,13 @@ def sample_initial(spec: F0Spec, n_particles: int, seed: int, grid: PeriodicGrid
         mass = spec.mass
     elif isinstance(spec, UniformMaxwellian):
         pos = rng.random((n_particles, 3)) * box
-        vel = np.asarray(spec.drift) + spec.v_thermal * _truncated_normals(
-            rng, n_particles, VELOCITY_CUTOFF_SIGMAS
-        )
+        vel = spec.v_thermal * _truncated_normals(rng, n_particles, VELOCITY_CUTOFF_SIGMAS)
         mass = spec.mass
     elif isinstance(spec, TwoStream):
         pos = rng.random((n_particles, 3)) * box
         vel = spec.v_thermal * _truncated_normals(rng, n_particles, VELOCITY_CUTOFF_SIGMAS)
         signs = np.where(rng.random(n_particles) < 0.5, -1.0, 1.0)
-        vel[:, spec.axis] += signs * spec.v_drift
+        vel[:, 0] += signs * spec.v_drift
         mass = spec.mass
     else:
         raise ConfigError(f"unknown initial distribution {spec!r}")
@@ -210,16 +208,13 @@ def _cic_corners(grid: PeriodicGrid, positions: np.ndarray):
     return idx, wgt
 
 
-def gather(fields: VectorField3 | Sequence[VectorField3], positions: np.ndarray):
+def gather(fields: Sequence[VectorField3], positions: np.ndarray) -> list[np.ndarray]:
     """Trilinear interpolation of node-collocated vector fields at particle positions.
 
-    fields is one VectorField3, giving an (n, 3) array, or a sequence of
-    VectorField3 on one grid, giving a list of (n, 3) arrays that share one
-    CIC stencil.  Each value sums its eight corner terms in corner order.
+    fields are VectorField3 on one grid; the result is a list of (n, 3)
+    arrays, one per field, that share one CIC stencil.  Each value sums its
+    eight corner terms in corner order.
     """
-    single = isinstance(fields, VectorField3)
-    if single:
-        fields = (fields,)
     npart = len(positions)
     idx, wgt = _cic_corners(fields[0].grid, positions)
     flats = [field.values.reshape(3, -1) for field in fields]
@@ -231,8 +226,7 @@ def gather(fields: VectorField3 | Sequence[VectorField3], positions: np.ndarray)
             np.take(flat, idx[c], axis=1, out=term, mode="clip")
             term *= wgt[c]
             out += term
-    outs = [out.T for out in outs]
-    return outs[0] if single else outs
+    return [out.T for out in outs]
 
 
 def _rotate(v: np.ndarray, rotvec: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -373,15 +367,6 @@ class _DepositPlan:
         return out.reshape(self.grid.shape)
 
 
-def _deposit_weighted(
-    p: ParticleEnsemble, grid: PeriodicGrid, per_particle: np.ndarray
-) -> np.ndarray:
-    """CIC-deposit per_particle * S(x - x_p) / h^3 onto grid nodes."""
-    if p.count == 0:
-        return np.zeros(grid.shape)
-    return _DepositPlan(p, grid).accumulate(per_particle)
-
-
 def deposit(p: ParticleEnsemble, grid: PeriodicGrid) -> tuple[ScalarField, VectorField3]:
     """Charge and current densities rho = -sum w S / h^3, j = -sum w v S / h^3."""
     if p.count == 0:
@@ -398,8 +383,10 @@ def deposit_moment(p: ParticleEnsemble, grid: PeriodicGrid, order: float) -> Sca
     """Moment density of f itself (no charge sign): sum w |v|^k S / h^3."""
     if order < 0:
         raise ContractViolation("moment order must be >= 0")
+    if p.count == 0:
+        return ScalarField.zeros(grid)
     speed = np.sqrt(np.sum(p.velocities**2, axis=1))
-    return ScalarField(grid, _deposit_weighted(p, grid, p.weights * speed**order))
+    return ScalarField(grid, _DepositPlan(p, grid).accumulate(p.weights * speed**order))
 
 
 # ---------------------------------------------------------------------------

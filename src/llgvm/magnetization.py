@@ -108,16 +108,6 @@ class LLCoefficients:
         return cls(lam, 2.0 * lam if stabilizer_c is None else float(stabilizer_c))
 
 
-@dataclass(frozen=True, eq=False)
-class LLRhsParts:
-    """The three named pieces of the fourth-order right-hand side."""
-
-    a_term: np.ndarray       # A(m) bih(m)
-    f_term: np.ndarray       # A(m) f
-    lambda_term: np.ndarray  # alpha * Lam * m
-    lambda_scalar: np.ndarray  # Lam = -m . bih(m)
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -182,24 +172,18 @@ def _rhs(mf: MagnetizationField, j: VectorField3 | None):
         drive = drive - np.cross(m, jgrad, axis=0)
     f = drive - np.sum(drive * m, axis=0) * m  # tangential projection
 
-    parts = LLRhsParts(
-        a_term=apply_a(m, bih, alpha),
-        f_term=apply_a(m, f, alpha),
-        lambda_term=alpha * lam * m,
-        lambda_scalar=lam,
-    )
-    dmdt = (parts.f_term - parts.lambda_term - parts.a_term) / (1.0 + alpha**2)
-    return dmdt, parts
+    dmdt = (apply_a(m, f, alpha) - alpha * lam * m - apply_a(m, bih, alpha)) / (1.0 + alpha**2)
+    return dmdt, lam
 
 
 def ll_rhs(mf: MagnetizationField, j: VectorField3 | None = None):
-    """dm/dt of the fourth-order form plus its named parts.
+    """dm/dt of the fourth-order form and the scalar Lam = -m . bih(m).
 
-    Lam is taken in its defining form -m . bih(m), so the returned rate is
-    tangent to the sphere to rounding.
+    Lam is taken in that defining form, so the returned rate is tangent to
+    the sphere to rounding.
     """
-    dmdt, parts = _rhs(mf, j)
-    return VectorField3(mf.grid, dmdt), parts
+    dmdt, lam = _rhs(mf, j)
+    return VectorField3(mf.grid, dmdt), lam
 
 
 def dt_max(grid: PeriodicGrid, alpha: float, h_zeeman: float, coeffs: LLCoefficients) -> float:

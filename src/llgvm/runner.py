@@ -128,22 +128,26 @@ def validate_dt(cfg: RunConfig, state: SimState) -> float:
     return dt
 
 
-def ledger_row(state: SimState) -> dict:
-    grid = state.mf.grid
-    rho = state.rho  # the step's deposit; zero without particles
-    if state.particles.count:
-        rho = mollify(rho, state.mollifier)  # the constraint carries K_eps rho
+def ledger_row(state: SimState, diagnostics: bool = True) -> dict:
+    """One ledger row; without diagnostics the Gauss, Q and Hopf columns read nan."""
     led = state.ledger
-    rho_norm = l2_norm(rho)
-    gauss = gauss_residual(state.em, rho)
-    try:
-        q_mid = skyrmion_number(state.mf, grid.n_cells[2] // 2)
-    except DegenerateSliceError:
-        q_mid = float("nan")
-    try:
-        hopf = hopf_invariant(state.mf, state.emergent.b)
-    except ContractViolation:
-        hopf = float("nan")
+    gauss = q_mid = hopf = float("nan")
+    if diagnostics:
+        rho = state.rho  # the step's deposit; zero without particles
+        if state.particles.count:
+            rho = mollify(rho, state.mollifier)  # the constraint carries K_eps rho
+        rho_norm = l2_norm(rho)
+        gauss = gauss_residual(state.em, rho)
+        if rho_norm > 0.0:
+            gauss /= rho_norm
+        try:
+            q_mid = skyrmion_number(state.mf, state.mf.grid.n_cells[2] // 2)
+        except DegenerateSliceError:
+            pass
+        try:
+            hopf = hopf_invariant(state.mf, state.emergent.b)
+        except ContractViolation:
+            pass
     return {
         "t": state.t,
         "kinetic": led.kinetic,
@@ -153,7 +157,7 @@ def ledger_row(state: SimState) -> dict:
         "total": led.total,
         "coupling_residual": led.coupling_residual,
         "divB": div_b_norm(state.em),
-        "gauss_residual": gauss / rho_norm if rho_norm > 0.0 else gauss,
+        "gauss_residual": gauss,
         "Q_mid_slice": q_mid,
         "hopf": hopf,
     }
@@ -175,7 +179,7 @@ def _write_snapshots(state: SimState, outdir: Path, tag: str) -> None:
     write_snapshot(state.particles, outdir / f"particles_{tag}.snap", "particles", state.t)
 
 
-def run_simulation(cfg: RunConfig, output_dir=None, topology_columns: bool | None = None) -> SimState:
+def run_simulation(cfg: RunConfig, output_dir=None) -> SimState:
     """Execute run.n_steps coupled steps, writing ledger.csv and snapshots."""
     outdir = Path(output_dir if output_dir is not None else cfg.values["run.output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -183,32 +187,16 @@ def run_simulation(cfg: RunConfig, output_dir=None, topology_columns: bool | Non
     dt = validate_dt(cfg, state)
     n_steps = cfg.values["run.n_steps"]
     every = cfg.values["run.snapshot_every"]
-    topo = cfg.values["run.topology_diagnostics"] if topology_columns is None else topology_columns
-    rows = [ledger_row(state) if topo else _cheap_row(state)]
+    diagnostics = cfg.values["run.topology_diagnostics"]
+    rows = [ledger_row(state, diagnostics)]
     if every:
         _write_snapshots(state, outdir, f"{0:06d}")
     for n in range(1, n_steps + 1):
         state = advance(state, dt)
-        rows.append(ledger_row(state) if topo else _cheap_row(state))
+        rows.append(ledger_row(state, diagnostics))
         if every and n % every == 0:
             _write_snapshots(state, outdir, f"{n:06d}")
     _write_snapshots(state, outdir, "final")
     write_ledger_csv(rows, outdir / "ledger.csv")
     log.info("run finished: %d steps to t = %.6g, output in %s", n_steps, state.t, outdir)
     return state
-
-
-def _cheap_row(state: SimState) -> dict:
-    row = {c: float("nan") for c in LEDGER_COLUMNS}
-    led = state.ledger
-    row.update(
-        t=state.t,
-        kinetic=led.kinetic,
-        em=led.em_energy,
-        micromagnetic=led.micromagnetic,
-        dissipation_cum=led.dissipation_cum,
-        total=led.total,
-        coupling_residual=led.coupling_residual,
-        divB=div_b_norm(state.em),
-    )
-    return row

@@ -66,9 +66,8 @@ def check_mollifier():
 def check_llg_structure():
     grid = _grid(32)
     mf = MagnetizationField(grid, random_smooth_unit(grid, 7, 0.05, 1), 0.5, 0.1)
-    dmdt, parts = ll_rhs(mf)
+    dmdt, lam_direct = ll_rhs(mf)
     tangency = np.abs(np.sum(mf.m * dmdt.values, axis=0)).max()
-    lam_direct = parts.lambda_scalar
     lap = g.laplacian(mf.as_vector_field()).values
     grad_sq = sum(
         g.grad(g.ScalarField(grid, mf.m[c])).values ** 2 for c in range(3)

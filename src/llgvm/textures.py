@@ -56,21 +56,21 @@ def skyrmion_tube(grid: PeriodicGrid, radius: float | None = None) -> np.ndarray
     return band_limit_unit(unit_normalize(out), grid)
 
 
-def band_limit_unit(values: np.ndarray, grid: PeriodicGrid, cutoff_fraction: float = 0.45,
-                    passes: int = 2) -> np.ndarray:
-    """Gaussian low-pass + renormalize, repeated.
+def band_limit_unit(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Gaussian low-pass + renormalize, two passes.
 
     Textures built from radial profiles carry weak spectral tails near the
     Nyquist band; products of their derivatives then alias.  A Gaussian
     filter has a non-oscillating, rapidly decaying spatial kernel, so it
     suppresses the tail without disturbing localization, and renormalizing
     restores the unit sphere (each pass shrinks the correction
-    quadratically).
+    quadratically).  The filter's width is 0.45 of the smallest per-axis
+    Nyquist wavenumber.
     """
     k_nyq = min(np.pi * n / l for n, l in zip(grid.n_cells, grid.box_length))
-    filt = np.exp(-grid.k_squared / (cutoff_fraction * k_nyq) ** 2)
+    filt = np.exp(-grid.k_squared / (0.45 * k_nyq) ** 2)
     out = values
-    for _ in range(passes):
+    for _ in range(2):
         out = unit_normalize(_ifft_real(_fft(out) * filt))
     return out
 

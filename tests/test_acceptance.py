@@ -165,7 +165,7 @@ def test_criterion_5_structural_identities(grid32, grid16):
                 grid32, random_smooth_unit(grid32, 5000 + seed, 0.05, 1), H, ALPHA
             )
             m = mf.m
-            _, parts = ll_rhs(mf)
+            _, lam = ll_rhs(mf)
             lap = laplacian(mf.as_vector_field()).values
             spec = _fft(m)
             gradm = [_ifft_real(grid32._ik[a] * spec) for a in range(3)]
@@ -179,7 +179,7 @@ def test_criterion_5_structural_identities(grid32, grid16):
                     for a in range(3)
                 )
             )
-            assert rel_l2(parts.lambda_scalar, expanded) < 1e-8
+            assert rel_l2(lam, expanded) < 1e-8
 
             bih = _ifft_real(spec * grid32.k_squared**2)
             lhs = np.cross(m, bih, axis=0)

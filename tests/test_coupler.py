@@ -5,14 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from llgvm import Mollifier, ScalarField, l2_inner, l2_norm, mollify
+from llgvm import Mollifier, ScalarField, coupler, l2_inner, l2_norm, mollify
 from llgvm.config import parse_config_text
-from llgvm.coupler import advance, energy_audit, make_initial_state
+from llgvm.coupler import advance, energy_audit, make_initial_state, total_force_fields
 from llgvm.errors import LLGVMError, TimeStepError
-from llgvm.kinetic import ParticleEnsemble
+from llgvm.kinetic import ParticleEnsemble, deposit
 from llgvm.magnetization import MagnetizationField
 from llgvm.maxwell import init_compatible
-from llgvm.runner import build_state, ledger_row, validate_dt
+from llgvm.runner import LEDGER_COLUMNS, build_state, ledger_row, run_simulation, validate_dt
 from llgvm.textures import skyrmion_tube, uniform_texture
 
 from conftest import band_limited_vector
@@ -62,6 +62,12 @@ class TestAdvance:
         state = bare_state(grid16, uniform_texture(grid16))
         with pytest.raises(TimeStepError, match=r"step 1 \[llg\]"):
             advance(state, 10.0)
+
+    def test_non_finite_ledger_carries_step_and_phase(self, grid16, monkeypatch):
+        state = bare_state(grid16, uniform_texture(grid16))
+        monkeypatch.setattr(coupler, "kinetic_energy", lambda p: float("inf"))
+        with pytest.raises(LLGVMError, match=r"^step 1 \[ledger\]: ledger contains non-finite"):
+            advance(state, 1e-4)
 
     def test_coupled_state_invariants(self):
         cfg = parse_config_text(
@@ -113,7 +119,8 @@ class TestEnergyAudit:
     def test_zero_current_gives_zero_residual(self, grid16):
         state = bare_state(grid16, uniform_texture(grid16))
         nxt = advance(state, 1e-4)
-        assert energy_audit(state, nxt, 1e-4) == 0.0
+        assert nxt.ledger.coupling_residual == 0.0
+        assert energy_audit(state.em, nxt.em, nxt.emergent.e, None, None, None) == 0.0
 
     def test_smoothing_self_adjointness_pairing(self, grid16):
         mol = Mollifier.build(grid16, 4.0 * grid16.spacing[0])
@@ -129,7 +136,11 @@ class TestEnergyAudit:
         state = build_state(cfg)
         dt = validate_dt(cfg, state)
         nxt = advance(state, dt)
-        recomputed = energy_audit(state, nxt, dt)
+        # the step's own j, K j and K(E + e), recomputed from the two states
+        _, j = deposit(nxt.particles, nxt.mf.grid)
+        e_tot, _ = total_force_fields(state)
+        j_s = mollify(j, state.mollifier)
+        recomputed = energy_audit(state.em, nxt.em, nxt.emergent.e, j, j_s, e_tot)
         assert recomputed == nxt.ledger.coupling_residual
 
     def test_residual_decreases_with_dt(self):
@@ -175,6 +186,32 @@ class TestLedger:
             EnergyLedger(-1.0, 0.0, 0.0, 0.0, 0.0).validate()
         with pytest.raises(LLGVMError):
             EnergyLedger(0.0, float("nan"), 0.0, 0.0, 0.0).validate()
+
+    def test_diagnostics_off_blanks_only_the_diagnostic_columns(self, tmp_path):
+        # a 48^3 hopfion is the smallest bundled texture whose Hopf column is
+        # finite, so that with diagnostics on all three diagnostic columns are
+        # finite
+        text = (
+            "grid.n = 48\nllg.initial = hopfion\nllg.init_radius = 7.0\n"
+            "kinetic.n_particles = 200\nkinetic.f0.radius = 1.0\n"
+            "run.dt = 1e-5\nrun.n_steps = 2\nrun.snapshot_every = 0\n"
+        )
+        ledgers = {}
+        for diagnostics in ("true", "false"):
+            cfg = parse_config_text(text + f"run.topology_diagnostics = {diagnostics}\n")
+            run_simulation(cfg, tmp_path / diagnostics)
+            lines = (tmp_path / diagnostics / "ledger.csv").read_text().splitlines()
+            assert tuple(lines[0].split(",")) == LEDGER_COLUMNS
+            rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+            ledgers[diagnostics] = dict(zip(LEDGER_COLUMNS, rows.T))
+        on, off = ledgers["true"], ledgers["false"]
+        assert len(on["t"]) == 3
+        diagnostic = ("gauss_residual", "Q_mid_slice", "hopf")
+        for name in LEDGER_COLUMNS:
+            if name in diagnostic:
+                assert np.all(np.isfinite(on[name])) and np.all(np.isnan(off[name]))
+            else:
+                assert np.array_equal(on[name], off[name])
 
     def test_gauss_law_drift_stays_monitorable(self):
         # charge conservation is monitored, not enforced: over 1000 coupled

@@ -279,7 +279,7 @@ class TestDeposit:
         field = VectorField3.constant(grid16, (0.3, -1.0, 2.0))
         rng = np.random.default_rng(17)
         pos = rng.random((50, 3)) * BOX
-        gathered = gather(field, pos)
+        (gathered,) = gather([field], pos)
         assert np.abs(gathered - np.array([0.3, -1.0, 2.0])).max() < 1e-14
 
     def test_gather_matches_reference(self):
@@ -314,7 +314,7 @@ class TestDeposit:
         for field, values in zip(fields, gathered):
             expected = np.array([reference(field.values, x) for x in pos])
             assert np.array_equal(values, expected)
-        assert np.array_equal(gather(fields[0], pos), gathered[0])
+        assert np.array_equal(gather(fields[:1], pos)[0], gathered[0])
 
     def test_empty_ensemble(self, grid16):
         rho, j = deposit(ParticleEnsemble.empty(), grid16)

@@ -158,9 +158,9 @@ class TestEffectiveField:
 
 class TestLLRhs:
     def test_ground_state_is_stationary(self, grid16):
-        dmdt, parts = ll_rhs(uniform_mf(grid16))
+        dmdt, lam = ll_rhs(uniform_mf(grid16))
         assert np.abs(dmdt.values).max() < 1e-12
-        assert np.abs(parts.lambda_scalar).max() < 1e-12
+        assert np.abs(lam).max() < 1e-12
 
     def test_rate_is_tangent(self, grid32):
         for seed in range(3):
@@ -172,7 +172,7 @@ class TestLLRhs:
         # -m . bih(m) agrees with |lap m|^2 + lap|grad m|^2 + 2 grad m . grad lap m
         for seed in range(5):
             mf = random_unit_mf(grid32, 50 + seed, amplitude=0.05, k_cut=1)
-            _, parts = ll_rhs(mf)
+            _, lam = ll_rhs(mf)
             lap = laplacian(mf.as_vector_field()).values
             gradm = [grad(ScalarField(grid32, mf.m[c])).values for c in range(3)]
             grad_sq = sum(np.sum(g**2, axis=0) for g in gradm)
@@ -185,7 +185,7 @@ class TestLLRhs:
                     for c in range(3)
                 )
             )
-            assert rel_l2(parts.lambda_scalar, expanded) < 1e-8
+            assert rel_l2(lam, expanded) < 1e-8
 
     def test_rotation_operator_norm(self, grid16):
         # |A(m) xi|^2 = (1 + alpha^2) |xi|^2 for tangent xi, node-wise
