@@ -53,7 +53,7 @@ class EnergyLedger:
 
 
 def kinetic_energy(p: ParticleEnsemble) -> float:
-    return float(0.5 * np.sum(p.weights * np.sum(p.velocities**2, axis=1)))
+    return float(0.5 * np.sum(p.weights * np.sum(p.velocities**2, axis=0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +134,7 @@ def advance(state: SimState, dt: float) -> SimState:
     if particles.count:
         e_tot, b_tot = _phase(state, "gather", total_force_fields, state)
         particles = _phase(state, "push", lorentz_push, particles, e_tot, b_tot, dt)
-        particles = canonical(particles, grid)
+        particles = canonical(particles)
         rho, j = _phase(state, "deposit", deposit, particles, grid)
         j_s = _phase(state, "mollify", mollify, j, state.mollifier)
     mf_new = _phase(state, "llg", step, state.mf, j_s, dt, state.ll_coeffs)

@@ -30,4 +30,4 @@ class ConfigError(LLGVMError):
 
 
 class SnapshotError(LLGVMError):
-    """A snapshot file is unreadable: bad magic, version, truncation or checksum."""
+    """A snapshot file is unreadable: bad magic, version, header, truncation or checksum."""

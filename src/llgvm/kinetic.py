@@ -6,13 +6,15 @@ is a Boris-type split with an exact Rodrigues rotation for the magnetic
 half, embedded in a drift-kick-drift step: it conserves speed exactly in a
 pure magnetic field and preserves phase-space volume.  Gather and deposit
 share the trilinear cloud-in-cell kernel, and one stencil serves every field
-gathered at the same positions.  A deposit puts the particles in a canonical
-order, by wrapped x alone or, where two x values are equal, by the full key
-(x, y, z, vx, vy, vz, w), and sums each node's corner terms one after another
-in that order, so results are independent of particle order and thread count.
-A simulation state stores its ensemble in that canonical order after every
-push (see canonical): the sort after the next push meets nearly sorted data,
-and the deposit, finding the ensemble sorted, skips its sort.
+gathered at the same positions; it wraps node indices, so any position is
+accepted.  The ensemble is stored as (3, n) rows, like every field.  A deposit
+puts the particles in a canonical order, by x as stored alone or, where two x
+values are equal, by the full key (x, y, z, vx, vy, vz, w), and sums each
+node's corner terms one after another in that order, so results are
+independent of particle order and thread count.  A simulation state stores
+its ensemble in that canonical order after every push (see canonical): the
+sort after the next push meets nearly sorted data, and the deposit, finding
+the ensemble sorted, skips its sort.
 """
 
 from __future__ import annotations
@@ -34,16 +36,16 @@ SPATIAL_CUTOFF_SIGMAS = 4.0
 
 @dataclass(frozen=True, eq=False)
 class ParticleEnsemble:
-    positions: np.ndarray  # (n, 3), box coordinates
-    velocities: np.ndarray  # (n, 3)
+    positions: np.ndarray  # (3, n) C-contiguous rows x, y, z, box coordinates
+    velocities: np.ndarray  # (3, n) C-contiguous rows vx, vy, vz
     weights: np.ndarray  # (n,), each the f-mass carried by the marker
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
-        vel = np.asarray(self.velocities, dtype=np.float64).reshape(-1, 3)
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if not (len(pos) == len(vel) == len(w)):
-            raise ContractViolation("positions, velocities and weights disagree in length")
+        pos = np.ascontiguousarray(self.positions, dtype=np.float64)
+        vel = np.ascontiguousarray(self.velocities, dtype=np.float64)
+        w = np.ascontiguousarray(self.weights, dtype=np.float64)
+        if w.ndim != 1 or pos.shape != (3, len(w)) or vel.shape != pos.shape:
+            raise ContractViolation(f"need (3, n), (3, n), (n,) arrays: {pos.shape}, {vel.shape}, {w.shape}")
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel)) and np.all(np.isfinite(w))):
             raise ContractViolation("ensemble contains NaN or Inf")
         if np.any(w < 0.0):
@@ -62,7 +64,7 @@ class ParticleEnsemble:
 
     @classmethod
     def empty(cls) -> "ParticleEnsemble":
-        return cls(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+        return cls(np.zeros((3, 0)), np.zeros((3, 0)), np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +133,15 @@ def _truncated_normals(rng, n: int, cutoff: float) -> np.ndarray:
 
 def sample_initial(spec: F0Spec, n_particles: int, seed: int, grid: PeriodicGrid) -> ParticleEnsemble:
     """Deterministic equal-weight sampling of the requested distribution."""
+    box = np.asarray(grid.box_length)
     if isinstance(spec, DeltaSpec):
         if n_particles != 1:
             raise ConfigError("delta initial data needs exactly one particle")
-        pos = np.asarray(spec.position, dtype=float).reshape(1, 3) % np.asarray(grid.box_length)
-        return ParticleEnsemble(pos, np.asarray(spec.velocity, dtype=float).reshape(1, 3), [spec.mass])
+        pos = np.asarray(spec.position, dtype=float) % box
+        return ParticleEnsemble(pos[:, None], np.asarray(spec.velocity, dtype=float)[:, None], [spec.mass])
     if n_particles < 1:
         raise ConfigError("need at least one particle")
     rng = np.random.default_rng(seed)
-    box = np.asarray(grid.box_length)
     if isinstance(spec, BumpMaxwellian):
         if SPATIAL_CUTOFF_SIGMAS * spec.radius > 0.5 * min(grid.box_length):
             raise ConfigError(
@@ -165,7 +167,7 @@ def sample_initial(spec: F0Spec, n_particles: int, seed: int, grid: PeriodicGrid
     else:
         raise ConfigError(f"unknown initial distribution {spec!r}")
     weights = np.full(n_particles, mass / n_particles)
-    return ParticleEnsemble(pos, vel, weights)
+    return ParticleEnsemble(pos.T, vel.T, weights)  # the (n, 3) draws, as rows
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +175,17 @@ def sample_initial(spec: F0Spec, n_particles: int, seed: int, grid: PeriodicGrid
 
 
 def _cic_corners(grid: PeriodicGrid, positions: np.ndarray):
-    """Trilinear corner node indices and weights, each an (8, N) array.
+    """Trilinear corner node indices and weights of (3, N) positions, each an (8, N) array.
 
     Row c = 4 bx + 2 by + bz is the corner that takes the upper node along
     each axis whose bit is set.  Its weight is (wx * wy) * wz and its flat
-    node index (ix * ny + iy) * nz + iz.
+    node index (ix * ny + iy) * nz + iz.  Node indices are wrapped, so a
+    position outside [0, L), L itself included, needs no wrap beforehand.
     """
     _, ny, nz = grid.n_cells
+    npart = positions.shape[1]
     n = np.asarray(grid.n_cells)[:, None]
-    frac = np.empty((3, len(positions)))
-    np.divide(positions.T, np.asarray(grid.spacing)[:, None], out=frac)
+    frac = positions / np.asarray(grid.spacing)[:, None]
     lower = np.floor(frac)
     frac -= lower
     i0 = lower.astype(np.int64)
@@ -195,8 +198,8 @@ def _cic_corners(grid: PeriodicGrid, positions: np.ndarray):
     np.subtract(1.0, frac, out=lower)
     nodes = (i0, i1)
     weights = (lower, frac)
-    idx = np.empty((8, len(positions)), dtype=np.int64)
-    wgt = np.empty((8, len(positions)))
+    idx = np.empty((8, npart), dtype=np.int64)
+    wgt = np.empty((8, npart))
     for bx in (0, 1):
         for by in (0, 1):
             ixy = nodes[bx][0] + nodes[by][1]
@@ -211,11 +214,11 @@ def _cic_corners(grid: PeriodicGrid, positions: np.ndarray):
 def gather(fields: Sequence[VectorField3], positions: np.ndarray) -> list[np.ndarray]:
     """Trilinear interpolation of node-collocated vector fields at particle positions.
 
-    fields are VectorField3 on one grid; the result is a list of (n, 3)
-    arrays, one per field, that share one CIC stencil.  Each value sums its
-    eight corner terms in corner order.
+    fields are VectorField3 on one grid and positions a (3, n) array; the
+    result is a list of (3, n) arrays, one per field, that share one CIC
+    stencil.  Each value sums its eight corner terms in corner order.
     """
-    npart = len(positions)
+    npart = positions.shape[1]
     idx, wgt = _cic_corners(fields[0].grid, positions)
     flats = [field.values.reshape(3, -1) for field in fields]
     outs = [np.zeros((3, npart)) for _ in flats]
@@ -226,7 +229,7 @@ def gather(fields: Sequence[VectorField3], positions: np.ndarray) -> list[np.nda
             np.take(flat, idx[c], axis=1, out=term, mode="clip")
             term *= wgt[c]
             out += term
-    return [out.T for out in outs]
+    return outs
 
 
 def _rotate(v: np.ndarray, rotvec: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -248,18 +251,17 @@ def _rotate(v: np.ndarray, rotvec: np.ndarray, angle: np.ndarray) -> np.ndarray:
 
 
 def _rodrigues_rotate(v: np.ndarray, rotvec: np.ndarray) -> np.ndarray:
-    """Rotate each row of v by the corresponding rotation vector (exact).
+    """Rotate each column of v (3, n) by the corresponding rotation vector (exact).
 
-    Rows with a zero rotation vector come back unchanged.
+    Columns with a zero rotation vector come back unchanged.
     """
-    r = rotvec.T
-    angle = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
+    angle = np.sqrt(rotvec[0] * rotvec[0] + rotvec[1] * rotvec[1] + rotvec[2] * rotvec[2])
     act = angle > 0.0
     if act.all():
-        return _rotate(v.T, r, angle).T
+        return _rotate(v, rotvec, angle)
     out = v.copy()
     if act.any():
-        out[act] = _rotate(v[act].T, rotvec[act].T, angle[act]).T
+        out[:, act] = _rotate(v[:, act], rotvec[:, act], angle[act])
     return out
 
 
@@ -275,13 +277,10 @@ def lorentz_push(
         return p
     grid = E_tot.grid
     box = np.asarray(grid.box_length)[:, None]
-    # contiguous (3, n) rows, updated in place: x is x_half, then x_new, and v
-    # is v_minus, then v_plus, then v_new
-    x = p.positions.T.copy()
-    v = p.velocities.T.copy()
-    x += 0.5 * dt * v
+    # x is x_half, then x_new, and v is v_minus, then v_plus, then v_new
+    x = p.positions + 0.5 * dt * p.velocities
     x %= box
-    e_p, b_p = (f.T for f in gather((E_tot, B_tot), x.T))
+    e_p, b_p = gather((E_tot, B_tot), x)
     if not (np.all(np.isfinite(e_p)) and np.all(np.isfinite(b_p))):
         raise BlowUpError("NaN in gathered fields")
     b_max = float(np.sqrt(b_p[0] * b_p[0] + b_p[1] * b_p[1] + b_p[2] * b_p[2]).max(initial=0.0))
@@ -292,68 +291,62 @@ def lorentz_push(
             stacklevel=2,
         )
     half_kick = 0.5 * dt * CHARGE * e_p
-    v += half_kick
+    v = p.velocities + half_kick
     b_p *= -CHARGE * dt  # the rotation vectors
-    v = _rodrigues_rotate(v.T, b_p.T).T
+    v = _rodrigues_rotate(v, b_p)
     v += half_kick
     x += 0.5 * dt * v
     x %= box
-    return ParticleEnsemble(x.T.copy(), v.T.copy(), p.weights)
+    return ParticleEnsemble(x, v, p.weights)
 
 
-def _canonical_order(p: ParticleEnsemble, x: np.ndarray, box: np.ndarray) -> np.ndarray | None:
-    """Permutation that puts p, with wrapped x coordinates x, in canonical order.
+def _canonical_order(p: ParticleEnsemble) -> np.ndarray | None:
+    """Permutation that puts p in canonical order.
 
-    None means p is in that order already: its wrapped x strictly increases,
-    so the sort would return the identity and meet no tie.
+    None means p is in that order already: its x strictly increases, so the
+    sort would return the identity and meet no tie.
     """
+    x = p.positions[0]
     if np.all(x[1:] > x[:-1]):
         return None
     order = np.argsort(x, kind="stable")
     x = x[order]
     if np.any(x[1:] == x[:-1]):
-        pos = p.positions % box
-        keys = (
-            p.weights,
-            p.velocities[:, 2], p.velocities[:, 1], p.velocities[:, 0],
-            pos[:, 2], pos[:, 1], pos[:, 0],
-        )
-        order = np.lexsort(keys)
+        order = np.lexsort((p.weights, *p.velocities[::-1], *p.positions[::-1]))
     return order
 
 
-def canonical(p: ParticleEnsemble, grid: PeriodicGrid) -> ParticleEnsemble:
+def canonical(p: ParticleEnsemble) -> ParticleEnsemble:
     """p permuted into the canonical order of the deposit; p itself if it is in it."""
-    box = np.asarray(grid.box_length)
-    order = _canonical_order(p, p.positions[:, 0] % box[0], box)
+    order = _canonical_order(p)
     if order is None:
         return p
     return ParticleEnsemble(
-        np.take(p.positions, order, axis=0), np.take(p.velocities, order, axis=0), p.weights[order]
+        np.take(p.positions, order, axis=1), np.take(p.velocities, order, axis=1), p.weights[order]
     )
 
 
 class _DepositPlan:
     """Canonically ordered CIC corner data shared by all densities of one ensemble.
 
-    Particles are sorted by wrapped x with one stable argsort.  Where two x
-    values are equal that order is not unique, and the full key (x, y, z, vx,
-    vy, vz, w) sorts them lexicographically instead; without ties both give
-    the same order.  The corner entries are laid out corner-major in that
-    order and each node sums its entries one after another, so the per-node
-    summation order does not depend on how the ensemble array happened to be
-    ordered.  A simulation state stores its ensemble in canonical order (see
-    canonical); for such an ensemble the plan skips the sort and both
-    permutations.
+    Particles are sorted by x as stored with one stable argsort.  Where two
+    x values are equal that order is not unique, and the full key (x, y, z,
+    vx, vy, vz, w) sorts them lexicographically instead; without ties both
+    give the same order.  The corner entries are laid out corner-major in
+    that order and each node sums its entries one after another, so the
+    per-node summation order does not depend on how the ensemble array
+    happened to be ordered.  Positions are not wrapped here: the stencil
+    wraps node indices.  A simulation state stores its ensemble in canonical
+    order (see canonical); for such an ensemble the plan skips the sort and
+    both permutations.
     """
 
     def __init__(self, p: ParticleEnsemble, grid: PeriodicGrid):
         self.grid = grid
-        box = np.asarray(grid.box_length)
-        pos = p.positions % box
-        self.particle_order = _canonical_order(p, pos[:, 0], box)
+        self.particle_order = _canonical_order(p)
+        pos = p.positions
         if self.particle_order is not None:
-            pos = np.take(pos, self.particle_order, axis=0)
+            pos = np.take(pos, self.particle_order, axis=1)
         idx, self.wgt = _cic_corners(grid, pos)
         self.idx = idx.reshape(-1)
 
@@ -374,7 +367,7 @@ def deposit(p: ParticleEnsemble, grid: PeriodicGrid) -> tuple[ScalarField, Vecto
     plan = _DepositPlan(p, grid)
     rho = ScalarField(grid, CHARGE * plan.accumulate(p.weights))
     jvals = np.stack(
-        [CHARGE * plan.accumulate(p.weights * p.velocities[:, c]) for c in range(3)]
+        [CHARGE * plan.accumulate(p.weights * v) for v in p.velocities]
     )
     return rho, VectorField3(grid, jvals)
 
@@ -385,7 +378,7 @@ def deposit_moment(p: ParticleEnsemble, grid: PeriodicGrid, order: float) -> Sca
         raise ContractViolation("moment order must be >= 0")
     if p.count == 0:
         return ScalarField.zeros(grid)
-    speed = np.sqrt(np.sum(p.velocities**2, axis=1))
+    speed = np.sqrt(np.sum(p.velocities**2, axis=0))
     return ScalarField(grid, _DepositPlan(p, grid).accumulate(p.weights * speed**order))
 
 
@@ -416,7 +409,7 @@ def lp_norm_of_field(field: ScalarField, ell: float) -> float:
 
 def total_moment(p: ParticleEnsemble, order: float) -> float:
     """M_k = sum_p w_p |v_p|^k."""
-    speed = np.sqrt(np.sum(p.velocities**2, axis=1))
+    speed = np.sqrt(np.sum(p.velocities**2, axis=0))
     return float(np.sum(p.weights * speed**order))
 
 

@@ -114,16 +114,15 @@ def build_state(cfg: RunConfig) -> SimState:
 
 
 def validate_dt(cfg: RunConfig, state: SimState) -> float:
-    """Check the configured step against both stability bounds up front."""
+    """Check the configured step against both stability bounds up front, as the solvers do."""
     dt = cfg.values["run.dt"]
     grid = state.mf.grid
     llg_bound = dt_max(grid, state.mf.alpha, state.mf.h_zeeman, state.ll_coeffs)
     em_bound = cfl_limit(grid, state.em.eps_r, state.em.mu_r)
-    bound = min(llg_bound, em_bound)
-    if dt > bound:
+    if dt > llg_bound or dt >= em_bound:
         raise ConfigError(
-            f"run.dt = {dt:.4g} exceeds the stable bound {bound:.4g}"
-            f" (magnetization limit {llg_bound:.4g}, staggered CFL {em_bound:.4g})"
+            f"run.dt = {dt:.4g} is not stable: it must not exceed the magnetization"
+            f" limit {llg_bound:.4g} and must stay below the staggered CFL bound {em_bound:.4g}"
         )
     return dt
 

@@ -105,11 +105,11 @@ def check_kinetic():
     mass0 = p.total_mass
     bfield = g.VectorField3.constant(grid, (0.0, 0.0, 1.3))
     efield = g.VectorField3.zeros(grid)
-    speeds0 = np.sqrt(np.sum(p.velocities**2, axis=1))
+    speeds0 = np.sqrt(np.sum(p.velocities**2, axis=0))
     q = p
     for _ in range(200):
         q = lorentz_push(q, efield, bfield, 5e-3)
-    speeds = np.sqrt(np.sum(q.velocities**2, axis=1))
+    speeds = np.sqrt(np.sum(q.velocities**2, axis=0))
     drift = np.abs(speeds - speeds0).max() / speeds0.max()
     rho, _ = deposit(q, grid)
     mass_dep = -rho.values.sum() * grid.cell_volume

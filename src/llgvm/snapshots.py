@@ -67,9 +67,7 @@ def _payload_bytes(obj) -> tuple[int, tuple, tuple, bytes]:
             obj.values.ravel(order="C").astype("<f8").tobytes(),
         )
     if isinstance(obj, ParticleEnsemble):
-        rec = np.concatenate(
-            [obj.positions, obj.velocities, obj.weights[:, None]], axis=1
-        )
+        rec = np.concatenate([obj.positions, obj.velocities, obj.weights[None, :]]).T
         return KIND_ENSEMBLE, (obj.count, 0, 0), (0.0, 0.0, 0.0), rec.astype("<f8").tobytes()
     raise ContractViolation(f"cannot snapshot object of type {type(obj).__name__}")
 
@@ -113,6 +111,17 @@ def read_snapshot(path) -> Snapshot:
         )
     if flags & 0x1:
         raise SnapshotError(f"unsupported payload endianness flag in {path}")
+    # the header is outside the CRC: its dims must imply its payload count
+    nodes = d0 * d1 * d2
+    implied = {KIND_SCALAR: nodes, KIND_VECTOR: 3 * nodes, KIND_MAGNETIZATION: 2 + 3 * nodes,
+               KIND_ENSEMBLE: 7 * d0}
+    if kind not in implied:
+        raise SnapshotError(f"unknown payload kind {kind} in {path}")
+    if count != implied[kind]:
+        raise SnapshotError(
+            f"inconsistent header in {path}: dims {(d0, d1, d2)} of kind {kind}"
+            f" imply {implied[kind]} doubles, the header counts {count}"
+        )
     payload = raw[_HEADER.size :]
     if len(payload) != 8 * count:
         raise SnapshotError(
@@ -123,16 +132,14 @@ def read_snapshot(path) -> Snapshot:
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     name = name_b.rstrip(b"\0").decode("utf-8", errors="replace")
     if kind == KIND_ENSEMBLE:
-        rec = data.reshape(d0, 7) if d0 else data.reshape(0, 7)
-        obj = ParticleEnsemble(rec[:, 0:3], rec[:, 3:6], rec[:, 6])
+        rec = data.reshape(d0, 7)
+        obj = ParticleEnsemble(rec[:, 0:3].T, rec[:, 3:6].T, rec[:, 6])
         return Snapshot(name, time, obj)
     grid = PeriodicGrid((d0, d1, d2), (b0, b1, b2))
     if kind == KIND_SCALAR:
         return Snapshot(name, time, ScalarField(grid, data.reshape(grid.shape)))
     if kind == KIND_VECTOR:
         return Snapshot(name, time, VectorField3(grid, data.reshape(3, *grid.shape)))
-    if kind == KIND_MAGNETIZATION:
-        h_zeeman, alpha = data[0], data[1]
-        m = data[2:].reshape(3, *grid.shape)
-        return Snapshot(name, time, MagnetizationField(grid, m, h_zeeman, alpha))
-    raise SnapshotError(f"unknown payload kind {kind} in {path}")
+    h_zeeman, alpha = data[0], data[1]
+    m = data[2:].reshape(3, *grid.shape)
+    return Snapshot(name, time, MagnetizationField(grid, m, h_zeeman, alpha))

@@ -3,6 +3,7 @@ import pytest
 
 from llgvm import PeriodicGrid, VectorField3
 from llgvm.magnetization import MagnetizationField
+from llgvm.snapshots import _HEADER
 from llgvm.textures import random_smooth_unit
 
 BOX = 16.0
@@ -38,6 +39,14 @@ def band_limited_scalar(grid, seed, k_cut=3, amplitude=1.0):
 
 def random_unit_mf(grid, seed, amplitude=0.05, k_cut=1, h=0.5, alpha=0.1):
     return MagnetizationField(grid, random_smooth_unit(grid, seed, amplitude, k_cut), h, alpha)
+
+
+def rewrite_snapshot_d0(src, dst, d0):
+    """Copy a snapshot with its first header dim set to d0; the CRC covers only the payload."""
+    raw = src.read_bytes()
+    header = list(_HEADER.unpack(raw[: _HEADER.size]))
+    header[5] = d0
+    dst.write_bytes(_HEADER.pack(*header) + raw[_HEADER.size :])
 
 
 def rel_l2(a: np.ndarray, b: np.ndarray) -> float:

@@ -217,11 +217,11 @@ def test_criterion_6_kinetic_structure(grid16):
         mass0 = p.total_mass
         e0 = VectorField3.zeros(grid16)
         b0 = VectorField3.constant(grid16, (0.0, 0.0, 1.0))
-        speeds0 = np.sqrt(np.sum(p.velocities**2, axis=1))
+        speeds0 = np.sqrt(np.sum(p.velocities**2, axis=0))
         q = p
         for _ in range(10000):
             q = lorentz_push(q, e0, b0, 1e-2)
-        assert np.abs(np.sqrt(np.sum(q.velocities**2, axis=1)) / speeds0 - 1.0).max() < 1e-11
+        assert np.abs(np.sqrt(np.sum(q.velocities**2, axis=0)) / speeds0 - 1.0).max() < 1e-11
         assert q.total_mass == mass0
 
         efield = band_limited_vector(grid16, 1, k_cut=2, amplitude=0.5)
@@ -229,9 +229,9 @@ def test_criterion_6_kinetic_structure(grid16):
         z0 = np.array([8.43, 7.91, 8.22, 0.31, -0.22, 0.17])
 
         def flow(z):
-            one = ParticleEnsemble(z[:3][None, :], z[3:][None, :], [1.0])
+            one = ParticleEnsemble(z[:3, None], z[3:, None], [1.0])
             one = lorentz_push(one, efield, bfield, 1e-3)
-            return np.concatenate([one.positions[0], one.velocities[0]])
+            return np.concatenate([one.positions[:, 0], one.velocities[:, 0]])
 
         def jac(delta):
             cols = []
@@ -263,10 +263,10 @@ def test_criterion_6_kinetic_structure(grid16):
 
         errs = []
         for n_steps in (40, 80):
-            one = ParticleEnsemble(x0[None, :], v0[None, :], [1.0])
+            one = ParticleEnsemble(x0[:, None], v0[:, None], [1.0])
             for _ in range(n_steps):
                 one = lorentz_push(one, e0, b0, horizon / n_steps)
-            errs.append(np.linalg.norm(one.positions[0] - rk4(n_steps * 100)))
+            errs.append(np.linalg.norm(one.positions[:, 0] - rk4(n_steps * 100)))
         order = np.log2(errs[0] / errs[1])
         print(f"  |det-1| = {abs(det - 1.0):.2e}, gyro order = {order:.2f}")
         assert order >= 1.9

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from llgvm import cli
+from llgvm import PeriodicGrid, cli
 from llgvm.errors import BlowUpError
+from llgvm.maxwell import cfl_limit
+
+from conftest import rewrite_snapshot_d0
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -77,6 +80,20 @@ class TestRun:
         cfg.write_text("grid.n = 16\nrun.dt = 1.0\nkinetic.n_particles = 0\n")
         assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
 
+    def test_dt_at_the_cfl_bound_is_a_config_error(self, tmp_path, capsys):
+        # the Yee step needs dt strictly below the bound; stabilizer_c = 6 makes
+        # the magnetization limit infinite, so only the CFL bound can refuse
+        dt = cfl_limit(PeriodicGrid.cubic(8, 8.0), 1.0, 1.0)
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(
+            "grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 0\nllg.stabilizer_c = 6.0\n"
+            f"run.n_steps = 1\nrun.dt = {dt!r}\n"
+        )
+        code = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ledger.csv").exists()
+
     def test_runtime_blow_up_exit_code(self, tmp_path, monkeypatch):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 0\nrun.n_steps = 1\nrun.dt = 1e-4\n")
@@ -122,6 +139,12 @@ class TestDiag:
     def test_diag_rejects_wrong_snapshot_kind(self, finished_run):
         code = cli.main(["diag", "topology", str(finished_run / "E_final.snap")])
         assert code == cli.EXIT_CONFIG
+
+    def test_energy_on_inconsistent_header_is_a_runtime_error(self, finished_run, tmp_path, capsys):
+        bad = tmp_path / "m_bad.snap"
+        rewrite_snapshot_d0(finished_run / "m_final.snap", bad, 6)  # the payload holds 48^3 nodes
+        assert cli.main(["diag", "energy", str(bad)]) == cli.EXIT_RUNTIME
+        assert "inconsistent header" in capsys.readouterr().err
 
 
 class TestSelftest:

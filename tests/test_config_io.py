@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from llgvm import PeriodicGrid, ScalarField, VectorField3, hopf_invariant, read_snapshot, write_snapshot
+from llgvm import snapshots
 from llgvm.config import SCHEMA, default_config, parse_config, parse_config_text
 from llgvm.errors import ConfigError, SnapshotError
 from llgvm.kinetic import ParticleEnsemble
 from llgvm.magnetization import MagnetizationField
 from llgvm.textures import hopfion, random_smooth_unit
 
-from conftest import BOX, band_limited_vector
+from conftest import BOX, band_limited_vector, rewrite_snapshot_d0
 
 
 class TestConfigParsing:
@@ -116,7 +117,7 @@ class TestSnapshots:
 
     def test_ensemble_roundtrip(self, grid16, tmp_path):
         rng = np.random.default_rng(1)
-        p = ParticleEnsemble(rng.random((37, 3)) * BOX, rng.standard_normal((37, 3)), rng.random(37))
+        p = ParticleEnsemble((rng.random((37, 3)) * BOX).T, rng.standard_normal((37, 3)).T, rng.random(37))
         path = tmp_path / "p.snap"
         write_snapshot(p, path, "particles", 0.0)
         snap = read_snapshot(path)
@@ -125,6 +126,36 @@ class TestSnapshots:
         assert np.array_equal(q.positions, p.positions)
         assert np.array_equal(q.velocities, p.velocities)
         assert np.array_equal(q.weights, p.weights)
+
+    def test_ensemble_record_on_disk(self, tmp_path):
+        # one (x, y, z, vx, vy, vz, w) record per particle; a round trip cannot
+        # see a transposed record, since writer and reader would flip together
+        pos = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        vel = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        w = np.array([0.7, 0.8])
+        path = tmp_path / "p2.snap"
+        write_snapshot(ParticleEnsemble(pos.T, vel.T, w), path)
+        payload = np.frombuffer(path.read_bytes()[snapshots._HEADER.size :], dtype="<f8")
+        expected = [*pos[0], *vel[0], w[0], *pos[1], *vel[1], w[1]]
+        assert np.array_equal(payload, expected)
+
+    def test_ensemble_header_disagreeing_with_payload(self, tmp_path):
+        rng = np.random.default_rng(3)
+        p = ParticleEnsemble(rng.random((3, 5)), rng.random((3, 5)), rng.random(5))
+        path = tmp_path / "p5.snap"
+        write_snapshot(p, path)
+        rewrite_snapshot_d0(path, path, 4)  # 4 particles over 35 doubles
+        with pytest.raises(SnapshotError, match="inconsistent header"):
+            read_snapshot(path)
+
+    def test_magnetization_header_disagreeing_with_payload(self, grid16, tmp_path):
+        mf = MagnetizationField(grid16, random_smooth_unit(grid16, 5), 0.5, 0.1)
+        path = tmp_path / "m.snap"
+        write_snapshot(mf, path, "m")
+        rewrite_snapshot_d0(path, path, 6)
+        with pytest.raises(SnapshotError, match="inconsistent header") as err:
+            read_snapshot(path)
+        assert str(path) in str(err.value)
 
     def test_corrupted_payload_detected(self, grid16, tmp_path):
         field = band_limited_vector(grid16, 202)

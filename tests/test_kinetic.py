@@ -18,13 +18,16 @@ from llgvm import (
     lorentz_push,
     moment_exponent,
     moment_report,
+    read_snapshot,
     sample_initial,
+    write_snapshot,
 )
 from llgvm.errors import BlowUpError, ConfigError, ContractViolation
 from llgvm.kinetic import (
     ParticleEnsemble,
     _rodrigues_rotate,
     analytic_m2,
+    canonical,
     lp_norm_of_field,
     moment_exponent_exact,
 )
@@ -39,8 +42,8 @@ class TestSampling:
         spec = DeltaSpec(position=(1.0, 2.0, 3.0), velocity=(0.5, 0.0, -0.25), mass=2.5)
         p = sample_initial(spec, 1, 0, grid16)
         assert p.count == 1
-        assert np.allclose(p.positions[0], (1.0, 2.0, 3.0))
-        assert np.allclose(p.velocities[0], (0.5, 0.0, -0.25))
+        assert np.allclose(p.positions[:, 0], (1.0, 2.0, 3.0))
+        assert np.allclose(p.velocities[:, 0], (0.5, 0.0, -0.25))
         assert p.weights[0] == 2.5
         with pytest.raises(ConfigError):
             sample_initial(spec, 2, 0, grid16)
@@ -50,7 +53,7 @@ class TestSampling:
         spec = BumpMaxwellian(CENTER, 1.6, 0.3, mass=2.0)
         p = sample_initial(spec, n, 11, grid16)
         assert p.total_mass == pytest.approx(2.0, rel=1e-13)
-        m2 = float(np.sum(p.weights * np.sum(p.velocities**2, axis=1)))
+        m2 = float(np.sum(p.weights * np.sum(p.velocities**2, axis=0)))
         assert abs(m2 / analytic_m2(spec) - 1.0) < 5.0 / np.sqrt(n)
 
     def test_two_seeds_agree_within_pooled_error(self, grid16):
@@ -59,7 +62,7 @@ class TestSampling:
         samples = []
         for seed in (3, 4):
             p = sample_initial(spec, n, seed, grid16)
-            contrib = p.weights * np.sum(p.velocities**2, axis=1)
+            contrib = p.weights * np.sum(p.velocities**2, axis=0)
             samples.append((contrib.sum(), n * contrib.std() / np.sqrt(n)))
         diff = abs(samples[0][0] - samples[1][0])
         pooled = np.hypot(samples[0][1], samples[1][1])
@@ -68,7 +71,7 @@ class TestSampling:
     def test_two_stream_moment(self, grid16):
         spec = TwoStream(v_drift=0.8, v_thermal=0.2)
         p = sample_initial(spec, 30000, 5, grid16)
-        m2 = float(np.sum(p.weights * np.sum(p.velocities**2, axis=1)))
+        m2 = float(np.sum(p.weights * np.sum(p.velocities**2, axis=0)))
         assert abs(m2 / analytic_m2(spec) - 1.0) < 5.0 / np.sqrt(30000)
 
     def test_determinism(self, grid16):
@@ -84,7 +87,33 @@ class TestSampling:
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ContractViolation):
-            ParticleEnsemble(np.zeros((1, 3)), np.zeros((1, 3)), [-1.0])
+            ParticleEnsemble(np.zeros((3, 1)), np.zeros((3, 1)), [-1.0])
+
+    def test_constructor_takes_only_3_by_n_rows(self):
+        with pytest.raises(ContractViolation):  # per-particle (n, 3) records
+            ParticleEnsemble(np.zeros((4, 3)), np.zeros((4, 3)), np.ones(4))
+        with pytest.raises(ContractViolation):
+            ParticleEnsemble(np.zeros((3, 4)), np.zeros((3, 5)), np.ones(4))
+        with pytest.raises(ContractViolation):
+            ParticleEnsemble(np.zeros((3, 4)), np.zeros((3, 4)), np.ones(5))
+
+
+class TestLayout:
+    def test_ensembles_are_stored_as_contiguous_rows(self, grid16, tmp_path):
+        p = sample_initial(UniformMaxwellian(0.4), 50, 2, grid16)
+        efield = band_limited_vector(grid16, 5, k_cut=2, amplitude=0.3)
+        bfield = band_limited_vector(grid16, 6, k_cut=2, amplitude=0.3)
+        pushed = lorentz_push(p, efield, bfield, 1e-2)
+        reversed_p = ParticleEnsemble(p.positions[:, ::-1], p.velocities[:, ::-1], p.weights[::-1])
+        reordered = canonical(reversed_p)
+        assert reordered is not reversed_p
+        path = tmp_path / "p.snap"
+        write_snapshot(p, path)
+        loaded = read_snapshot(path).payload
+        for q in (p, pushed, reordered, loaded):
+            for rows in (q.positions, q.velocities):
+                assert rows.shape == (3, 50)
+                assert rows.dtype == np.float64 and rows.flags.c_contiguous
 
 
 class TestLorentzPush:
@@ -92,10 +121,10 @@ class TestLorentzPush:
         p = sample_initial(UniformMaxwellian(0.4), 256, 7, grid16)
         e0 = VectorField3.zeros(grid16)
         b0 = VectorField3.constant(grid16, (0.0, 0.0, 1.0))
-        speeds0 = np.sqrt(np.sum(p.velocities**2, axis=1))
+        speeds0 = np.sqrt(np.sum(p.velocities**2, axis=0))
         for _ in range(10000):
             p = lorentz_push(p, e0, b0, 1e-2)
-        speeds = np.sqrt(np.sum(p.velocities**2, axis=1))
+        speeds = np.sqrt(np.sum(p.velocities**2, axis=0))
         assert np.abs(speeds / speeds0 - 1.0).max() < 1e-11
 
     def test_gyro_orbit_second_order(self, grid16):
@@ -126,22 +155,22 @@ class TestLorentzPush:
 
         errs = []
         for n_steps in (40, 80):
-            p = ParticleEnsemble(x0[None, :], v0[None, :], [1.0])
+            p = ParticleEnsemble(x0[:, None], v0[:, None], [1.0])
             for _ in range(n_steps):
                 p = lorentz_push(p, e0, b0, horizon / n_steps)
-            errs.append(np.linalg.norm(p.positions[0] - rk4(n_steps * 100)))
+            errs.append(np.linalg.norm(p.positions[:, 0] - rk4(n_steps * 100)))
         assert np.log2(errs[0] / errs[1]) >= 1.9
 
     def test_uniform_electric_field_is_exact(self, grid16):
         # q = -1: v(t) = v0 - E t exactly, for any step count
         efield = VectorField3.constant(grid16, (0.2, -0.1, 0.05))
         bfield = VectorField3.zeros(grid16)
-        p = ParticleEnsemble([[1.0, 2.0, 3.0]], [[0.1, 0.0, 0.0]], [1.0])
+        p = ParticleEnsemble([[1.0], [2.0], [3.0]], [[0.1], [0.0], [0.0]], [1.0])
         dt = 0.05
         for _ in range(40):
             p = lorentz_push(p, efield, bfield, dt)
         expected = np.array([0.1, 0.0, 0.0]) - np.array([0.2, -0.1, 0.05]) * dt * 40
-        assert np.abs(p.velocities[0] - expected).max() < 1e-13
+        assert np.abs(p.velocities[:, 0] - expected).max() < 1e-13
 
     def test_phase_space_volume_preserved(self):
         # Richardson-extrapolated central differences of the one-step map
@@ -152,9 +181,9 @@ class TestLorentzPush:
         z0 = np.array([8.43, 7.91, 8.22, 0.31, -0.22, 0.17])
 
         def flow(z):
-            p = ParticleEnsemble(z[:3][None, :], z[3:][None, :], [1.0])
+            p = ParticleEnsemble(z[:3, None], z[3:, None], [1.0])
             p = lorentz_push(p, efield, bfield, dt)
-            return np.concatenate([p.positions[0], p.velocities[0]])
+            return np.concatenate([p.positions[:, 0], p.velocities[:, 0]])
 
         def jacobian(delta):
             cols = []
@@ -186,7 +215,7 @@ class TestLorentzPush:
 
     def test_nan_fields_abort(self, grid16):
         h = grid16.spacing[0]
-        p = ParticleEnsemble([[0.4 * h, 0.3 * h, 0.2 * h]], [[0.0, 0.0, 0.0]], [1.0])
+        p = ParticleEnsemble([[0.4 * h], [0.3 * h], [0.2 * h]], np.zeros((3, 1)), [1.0])
         bad = np.zeros((3, *grid16.shape))
         bad[0, 0, 0, 0] = np.inf  # inside the particle's gather stencil
         efield = VectorField3.zeros(grid16)
@@ -195,25 +224,25 @@ class TestLorentzPush:
             lorentz_push(p, efield, VectorField3.zeros(grid16), 1e-2)
 
     def test_rodrigues_mixed_zero_rotations(self):
-        # rows with a zero rotation vector take no part in the rotation
+        # columns with a zero rotation vector take no part in the rotation
         rng = np.random.default_rng(4)
         n = 300
-        v = rng.standard_normal((n, 3))
-        rotvec = 0.7 * rng.standard_normal((n, 3))
+        v = rng.standard_normal((n, 3)).T
+        rotvec = 0.7 * rng.standard_normal((n, 3)).T
         zero = rng.random(n) < 0.3
-        rotvec[zero] = 0.0
+        rotvec[:, zero] = 0.0
         assert zero.any() and not zero.all()
         out = _rodrigues_rotate(v, rotvec)
-        assert np.array_equal(out[zero], v[zero])
-        assert np.array_equal(out[~zero], _rodrigues_rotate(v[~zero], rotvec[~zero]))
-        speeds = np.sqrt(np.sum(out**2, axis=1)) / np.sqrt(np.sum(v**2, axis=1))
+        assert np.array_equal(out[:, zero], v[:, zero])
+        assert np.array_equal(out[:, ~zero], _rodrigues_rotate(v[:, ~zero], rotvec[:, ~zero]))
+        speeds = np.sqrt(np.sum(out**2, axis=0)) / np.sqrt(np.sum(v**2, axis=0))
         assert np.abs(speeds - 1.0).max() < 1e-14
 
 
 class TestDeposit:
     def test_particle_on_node(self, grid16):
         h = grid16.spacing[0]
-        p = ParticleEnsemble([[2 * h, 3 * h, 5 * h]], [[0.0, 0.0, 0.0]], [0.7])
+        p = ParticleEnsemble([[2 * h], [3 * h], [5 * h]], np.zeros((3, 1)), [0.7])
         rho, j = deposit(p, grid16)
         assert rho.values[2, 3, 5] == pytest.approx(-0.7 / grid16.cell_volume, rel=1e-14)
         mask = np.ones(grid16.shape, dtype=bool)
@@ -226,7 +255,7 @@ class TestDeposit:
         rho, j = deposit(p, grid16)
         cv = grid16.cell_volume
         assert rho.values.sum() * cv == pytest.approx(-p.total_mass, rel=1e-13)
-        expected_j = -np.sum(p.weights[:, None] * p.velocities, axis=0)
+        expected_j = -np.sum(p.weights * p.velocities, axis=1)
         measured_j = j.values.sum(axis=(1, 2, 3)) * cv
         assert np.abs(measured_j - expected_j).max() < 1e-13 * max(1.0, np.abs(expected_j).max())
 
@@ -234,10 +263,10 @@ class TestDeposit:
         rng = np.random.default_rng(0)
         n = 700
         p = ParticleEnsemble(
-            rng.random((n, 3)) * BOX, rng.standard_normal((n, 3)), np.full(n, 1.0 / n)
+            (rng.random((n, 3)) * BOX).T, rng.standard_normal((n, 3)).T, np.full(n, 1.0 / n)
         )
         perm = rng.permutation(n)
-        q = ParticleEnsemble(p.positions[perm], p.velocities[perm], p.weights[perm])
+        q = ParticleEnsemble(p.positions[:, perm], p.velocities[:, perm], p.weights[perm])
         rho_p, j_p = deposit(p, grid16)
         rho_q, j_q = deposit(q, grid16)
         assert np.array_equal(rho_p.values, rho_q.values)
@@ -255,20 +284,38 @@ class TestDeposit:
         src, dst = rng.choice(n, (2, 60), replace=False)
         pos[dst], vel[dst], w[dst] = pos[src], vel[src], w[src]
         assert np.unique(pos[:, 0]).size < n
-        rho_p, j_p = deposit(ParticleEnsemble(pos, vel, w), grid16)
+        rho_p, j_p = deposit(ParticleEnsemble(pos.T, vel.T, w), grid16)
         perms = [np.random.default_rng(seed).permutation(n) for seed in range(4)]
         # x already non-decreasing, tied x in no particular order
         perms.append(perms[0][np.argsort(pos[perms[0], 0], kind="stable")])
         for perm in perms:
-            rho_q, j_q = deposit(ParticleEnsemble(pos[perm], vel[perm], w[perm]), grid16)
+            rho_q, j_q = deposit(ParticleEnsemble(pos[perm].T, vel[perm].T, w[perm]), grid16)
             assert np.array_equal(rho_p.values, rho_q.values)
             assert np.array_equal(j_p.values, j_q.values)
+
+    def test_positions_need_no_wrap(self, grid16):
+        # the stencil wraps node indices, so shifting positions by whole box
+        # lengths changes the densities only by the rounding of frac
+        rng = np.random.default_rng(6)
+        n = 500
+        pos = rng.random((3, n)) * BOX
+        pos[:, :2] = [[0.0, BOX], [BOX, 0.0], [0.0, 0.0]]
+        vel = rng.standard_normal((3, n))
+        w = rng.random(n) / n
+        rho0, j0 = deposit(ParticleEnsemble(pos, vel, w), grid16)
+        for axis in range(3):
+            for shift in (-BOX, BOX, 2 * BOX):
+                moved = pos.copy()
+                moved[axis] += shift
+                rho, j = deposit(ParticleEnsemble(moved, vel, w), grid16)
+                assert np.abs(rho.values - rho0.values).max() <= 1e-12 * np.abs(rho0.values).max()
+                assert np.abs(j.values - j0.values).max() <= 1e-12 * np.abs(j0.values).max()
 
     def test_resting_uniform_ensemble(self):
         grid = PeriodicGrid.cubic(8, BOX)
         n = 100000
         rng = np.random.default_rng(21)
-        p = ParticleEnsemble(rng.random((n, 3)) * BOX, np.zeros((n, 3)), np.full(n, 1.0 / n))
+        p = ParticleEnsemble((rng.random((n, 3)) * BOX).T, np.zeros((3, n)), np.full(n, 1.0 / n))
         rho, j = deposit(p, grid)
         assert np.abs(j.values).max() == 0.0
         mean = rho.values.mean()
@@ -279,8 +326,8 @@ class TestDeposit:
         field = VectorField3.constant(grid16, (0.3, -1.0, 2.0))
         rng = np.random.default_rng(17)
         pos = rng.random((50, 3)) * BOX
-        (gathered,) = gather([field], pos)
-        assert np.abs(gathered - np.array([0.3, -1.0, 2.0])).max() < 1e-14
+        (gathered,) = gather([field], pos.T)
+        assert np.abs(gathered - np.array([0.3, -1.0, 2.0])[:, None]).max() < 1e-14
 
     def test_gather_matches_reference(self):
         # unequal cell counts and box lengths, so a swapped axis or stride
@@ -310,11 +357,11 @@ class TestDeposit:
                         total = total + values[:, node[0], node[1], node[2]] * (w[0] * w[1] * w[2])
             return total
 
-        gathered = gather(fields, pos)
+        gathered = gather(fields, pos.T)
         for field, values in zip(fields, gathered):
-            expected = np.array([reference(field.values, x) for x in pos])
+            expected = np.array([reference(field.values, x) for x in pos]).T
             assert np.array_equal(values, expected)
-        assert np.array_equal(gather(fields[:1], pos)[0], gathered[0])
+        assert np.array_equal(gather(fields[:1], pos.T)[0], gathered[0])
 
     def test_empty_ensemble(self, grid16):
         rho, j = deposit(ParticleEnsemble.empty(), grid16)
