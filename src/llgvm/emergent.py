@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ContractViolation
-from .grid import VectorField3, _fft, _partials
+from .grid import VectorField3, _cross, _fft, _partials
 from .magnetization import MagnetizationField, _check_norm
 
 
@@ -29,7 +29,7 @@ def compute_b(mf: MagnetizationField) -> VectorField3:
     dm = mf.gradient
     out = np.empty((3, *g.shape))
     for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        out[i] = np.sum(mf.m * np.cross(dm[j], dm[k], axis=0), axis=0)
+        out[i] = np.sum(mf.m * _cross(dm[j], dm[k]), axis=0)
     return VectorField3(g, out)
 
 
@@ -53,7 +53,7 @@ def compute_e(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: floa
     dm = _partials(g, _fft(m_mid))
     out = np.empty((3, *g.shape))
     for i in range(3):
-        out[i] = np.sum(m_mid * np.cross(dm[i], dm_dt, axis=0), axis=0)
+        out[i] = np.sum(m_mid * _cross(dm[i], dm_dt), axis=0)
     return VectorField3(g, out)
 
 

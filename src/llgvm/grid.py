@@ -222,6 +222,22 @@ def _partials(grid: PeriodicGrid, spec: np.ndarray) -> list[np.ndarray]:
     return [_ifft_real(grid._ik[axis] * spec) for axis in range(3)]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the leading axis of (3, ...) arrays, bitwise equal to np.cross(a, b, axis=0).
+
+    The components are written out in np.cross's order into one output, so no
+    operand is copied to move its vector axis last.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    np.multiply(a[1], b[2], out=out[0])
+    out[0] -= a[2] * b[1]
+    np.multiply(a[2], b[0], out=out[1])
+    out[1] -= a[0] * b[2]
+    np.multiply(a[0], b[1], out=out[2])
+    out[2] -= a[1] * b[0]
+    return out
+
+
 def _spectral_power(grid: PeriodicGrid, spec: np.ndarray, weight=1.0) -> float:
     """sum_k weight(k) |spec(k)/N|^2 over the full spectrum, from the half spectrum."""
     amp = spec / grid.n_nodes

@@ -8,11 +8,17 @@ fourth-order quasilinear form
     (1 + alpha^2) dm/dt + A(m) bih(m) = A(m) f - alpha * Lam * m,
 
 with A(m) xi = alpha xi - m x xi, f the tangential part of
-h e3 - m x (j.grad)m - lap m, and Lam = -m . bih(m).  One step of the
-integrator is first-order IMEX: a constant-coefficient biharmonic
-stabilizer c*bih is treated implicitly (diagonal in Fourier space), the
-rest explicitly with a 2/3-rule dealiased right-hand side, followed by
-node-wise renormalization onto the unit sphere.
+h e3 - m x (j.grad)m - lap m, and Lam = -m . bih(m).  With P the tangential
+projection, A(m) bih + alpha Lam m = A(m) P bih, so the step evaluates the
+same rate as
+
+    dm/dt = A(m) P(h e3 - m x (j.grad)m - (lap + bih) m) / (1 + alpha^2),
+
+which takes one inverse transform of (k^4 - k^2) m_hat; Lam is formed only
+by ll_rhs.  One step of the integrator is first-order IMEX: a
+constant-coefficient biharmonic stabilizer c*bih is treated implicitly
+(diagonal in Fourier space), the rest explicitly with a 2/3-rule dealiased
+right-hand side, followed by node-wise renormalization onto the unit sphere.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowUpError, ContractViolation, StateCorruption, TimeStepError
-from .grid import PeriodicGrid, VectorField3, _fft, _ifft_real, _partials, _spectral_power
+from .grid import PeriodicGrid, VectorField3, _cross, _fft, _ifft_real, _partials, _spectral_power
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -137,7 +143,7 @@ def energy(mf: MagnetizationField) -> float:
 
 def apply_a(m: np.ndarray, xi: np.ndarray, alpha: float) -> np.ndarray:
     """A(m) xi = alpha xi - m x xi applied node-wise to (3, ...) arrays."""
-    return alpha * xi - np.cross(m, xi, axis=0)
+    return alpha * xi - _cross(m, xi)
 
 
 def effective_field(mf: MagnetizationField) -> VectorField3:
@@ -152,38 +158,33 @@ def effective_field(mf: MagnetizationField) -> VectorField3:
     return VectorField3(g, -(bih + lap + zeeman))
 
 
-def _rhs(mf: MagnetizationField, j: VectorField3 | None):
+def _rhs(mf: MagnetizationField, j: VectorField3 | None) -> np.ndarray:
+    """dm/dt = A(m) P(h e3 - m x (j.grad)m - (lap + bih) m) / (1 + alpha^2)."""
     g = mf.grid
     if j is not None and j.grid != g:
         raise ContractViolation("current density lives on a different grid")
-    alpha = mf.alpha
     m = mf.m
-    spec = mf.spectrum
     k2 = g.k_squared
-    lap = _ifft_real(-k2 * spec)
-    bih = _ifft_real(k2 * k2 * spec)
-    lam = -np.sum(m * bih, axis=0)
-
-    drive = mf.h_zeeman * E3.reshape(3, 1, 1, 1) - lap
+    drive = mf.h_zeeman * E3.reshape(3, 1, 1, 1) - _ifft_real((k2 * k2 - k2) * mf.spectrum)
     if j is not None:
         jgrad = np.zeros_like(m)
         for axis, dm_axis in enumerate(mf.gradient):
             jgrad += j.values[axis] * dm_axis
-        drive = drive - np.cross(m, jgrad, axis=0)
-    f = drive - np.sum(drive * m, axis=0) * m  # tangential projection
-
-    dmdt = (apply_a(m, f, alpha) - alpha * lam * m - apply_a(m, bih, alpha)) / (1.0 + alpha**2)
-    return dmdt, lam
+        drive -= _cross(m, jgrad)
+    drive -= np.sum(drive * m, axis=0) * m  # tangential projection
+    return apply_a(m, drive, mf.alpha) / (1.0 + mf.alpha**2)
 
 
 def ll_rhs(mf: MagnetizationField, j: VectorField3 | None = None):
     """dm/dt of the fourth-order form and the scalar Lam = -m . bih(m).
 
-    Lam is taken in that defining form, so the returned rate is tangent to
-    the sphere to rounding.
+    Lam is taken in that defining form from its own inverse transform; the
+    rate is A(m) applied to a tangential vector, so it is tangent to the
+    sphere to rounding.
     """
-    dmdt, lam = _rhs(mf, j)
-    return VectorField3(mf.grid, dmdt), lam
+    k2 = mf.grid.k_squared
+    lam = -np.sum(mf.m * _ifft_real(k2 * k2 * mf.spectrum), axis=0)
+    return VectorField3(mf.grid, _rhs(mf, j)), lam
 
 
 def dt_max(grid: PeriodicGrid, alpha: float, h_zeeman: float, coeffs: LLCoefficients) -> float:
@@ -219,7 +220,7 @@ def step(
         )
     g = mf.grid
     alpha2 = 1.0 + mf.alpha**2
-    dmdt, _ = _rhs(mf, j)
+    dmdt = _rhs(mf, j)
     k2 = g.k_squared
     denom = alpha2 + coeffs.stabilizer_c * dt * k2 * k2
     rhs_spec = _fft(dmdt) * g.dealias_mask

@@ -51,24 +51,24 @@ def _payload_bytes(obj) -> tuple[int, tuple, tuple, bytes]:
     if isinstance(obj, MagnetizationField):
         head = np.array([obj.h_zeeman, obj.alpha])
         data = np.concatenate([head, obj.m.ravel(order="C")])
-        return KIND_MAGNETIZATION, obj.grid.n_cells, obj.grid.box_length, data.astype("<f8").tobytes()
+        return KIND_MAGNETIZATION, obj.grid.n_cells, obj.grid.box_length, data.astype("<f8", copy=False).tobytes()
     if isinstance(obj, VectorField3):
         return (
             KIND_VECTOR,
             obj.grid.n_cells,
             obj.grid.box_length,
-            obj.values.ravel(order="C").astype("<f8").tobytes(),
+            obj.values.ravel(order="C").astype("<f8", copy=False).tobytes(),
         )
     if isinstance(obj, ScalarField):
         return (
             KIND_SCALAR,
             obj.grid.n_cells,
             obj.grid.box_length,
-            obj.values.ravel(order="C").astype("<f8").tobytes(),
+            obj.values.ravel(order="C").astype("<f8", copy=False).tobytes(),
         )
     if isinstance(obj, ParticleEnsemble):
         rec = np.concatenate([obj.positions, obj.velocities, obj.weights[None, :]]).T
-        return KIND_ENSEMBLE, (obj.count, 0, 0), (0.0, 0.0, 0.0), rec.astype("<f8").tobytes()
+        return KIND_ENSEMBLE, (obj.count, 0, 0), (0.0, 0.0, 0.0), rec.astype("<f8", copy=False).tobytes()
     raise ContractViolation(f"cannot snapshot object of type {type(obj).__name__}")
 
 

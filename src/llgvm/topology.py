@@ -5,8 +5,8 @@ signed spherical-triangle areas (two triangles per plaquette), which returns
 integers up to rounding and reports degenerate plaquettes explicitly.  The
 vector potential inverts the curl in the Coulomb gauge,
 a_hat(k) = i k x b_hat(k) / |k|^2, after removing the k = 0 mode of b; the
-helicity integral <a, b> divided by (4 pi)^2 is the Hopf invariant of a
-localized texture.
+helicity integral <a, b>, a Parseval sum of a_hat and b_hat over the half
+spectrum, divided by (4 pi)^2 is the Hopf invariant of a localized texture.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DegenerateSliceError
-from .grid import VectorField3, _fft, _ifft_real, _spectral_power, div, l2_inner, l2_norm
+from .grid import VectorField3, _cross, _fft, _ifft_real, _spectral_power, div, l2_inner, l2_norm
 from .magnetization import MagnetizationField, _check_norm
 from .emergent import compute_b
 
@@ -27,15 +27,15 @@ FOUR_PI = 4.0 * np.pi
 
 
 def _signed_triangle_areas(n1, n2, n3):
-    """Signed spherical areas of triangles given by unit vectors (..., 3).
+    """Signed spherical areas of triangles given by unit vectors (3, ...).
 
     Uses the half-angle form: Omega = 2 * atan2(n1.(n2 x n3),
     1 + n1.n2 + n2.n3 + n3.n1).  Returns (areas, degenerate_mask).
     """
-    s12 = np.sum(n1 * n2, axis=-1)
-    s23 = np.sum(n2 * n3, axis=-1)
-    s31 = np.sum(n3 * n1, axis=-1)
-    chi = np.sum(n1 * np.cross(n2, n3), axis=-1)
+    s12 = np.sum(n1 * n2, axis=0)
+    s23 = np.sum(n2 * n3, axis=0)
+    s31 = np.sum(n3 * n1, axis=0)
+    chi = np.sum(n1 * _cross(n2, n3), axis=0)
     re = 1.0 + s12 + s23 + s31
     degenerate = (np.hypot(re, chi) < 1e-9) | ((re < 0.0) & (np.abs(chi) < 1e-12))
     return 2.0 * np.arctan2(chi, re), degenerate
@@ -51,11 +51,10 @@ def skyrmion_number(mf: MagnetizationField, z_index: int) -> float:
     nz = mf.grid.n_cells[2]
     if not -nz <= z_index < nz:
         raise ContractViolation(f"z index {z_index} out of range for {nz} slices")
-    m = np.moveaxis(mf.m[:, :, :, z_index], 0, -1)  # (Nx, Ny, 3)
-    n1 = m
-    n2 = np.roll(m, -1, axis=0)
-    n3 = np.roll(np.roll(m, -1, axis=0), -1, axis=1)
-    n4 = np.roll(m, -1, axis=1)
+    n1 = mf.m[:, :, :, z_index]  # (3, Nx, Ny)
+    n2 = np.roll(n1, -1, axis=1)
+    n3 = np.roll(n2, -1, axis=2)
+    n4 = np.roll(n1, -1, axis=2)
     omega_a, bad_a = _signed_triangle_areas(n1, n2, n3)
     omega_b, bad_b = _signed_triangle_areas(n1, n3, n4)
     bad = bad_a | bad_b
@@ -67,12 +66,15 @@ def skyrmion_number(mf: MagnetizationField, z_index: int) -> float:
     return float((omega_a.sum() + omega_b.sum()) / FOUR_PI)
 
 
-def vector_potential(b: VectorField3) -> VectorField3:
-    """Coulomb-gauge potential with curl a = b minus its k = 0 mode."""
+def _potential_spectrum(b: VectorField3):
+    """Half spectra of the Coulomb-gauge potential a and of b, or None for b = 0.
+
+    b must be solenoidal; its k = 0 mode has no potential and is dropped.
+    """
     g = b.grid
     norm_b = l2_norm(b)
     if norm_b == 0.0:
-        return VectorField3.zeros(g)
+        return None
     spec = _fft(b.values)
     ik = g._ik
     div_spec = ik[0] * spec[0] + ik[1] * spec[1] + ik[2] * spec[2]
@@ -87,10 +89,20 @@ def vector_potential(b: VectorField3) -> VectorField3:
     spec[:, 0, 0, 0] = 0.0
     k2 = g.k_squared.copy()
     k2[0, 0, 0] = 1.0
-    ax = (ik[1] * spec[2] - ik[2] * spec[1]) / k2
-    ay = (ik[2] * spec[0] - ik[0] * spec[2]) / k2
-    az = (ik[0] * spec[1] - ik[1] * spec[0]) / k2
-    return VectorField3(g, np.stack([_ifft_real(ax), _ifft_real(ay), _ifft_real(az)]))
+    a_spec = (
+        (ik[1] * spec[2] - ik[2] * spec[1]) / k2,
+        (ik[2] * spec[0] - ik[0] * spec[2]) / k2,
+        (ik[0] * spec[1] - ik[1] * spec[0]) / k2,
+    )
+    return a_spec, spec
+
+
+def vector_potential(b: VectorField3) -> VectorField3:
+    """Coulomb-gauge potential with curl a = b minus its k = 0 mode."""
+    spectra = _potential_spectrum(b)
+    if spectra is None:
+        return VectorField3.zeros(b.grid)
+    return VectorField3(b.grid, np.stack([_ifft_real(a) for a in spectra[0]]))
 
 
 def _check_localized(mf: MagnetizationField, tol: float = 1e-6):
@@ -110,10 +122,17 @@ def helicity(mf: MagnetizationField, b: VectorField3 | None = None) -> float:
     """Emergent magnetic helicity <a, b> with b = curl a in the Coulomb gauge.
 
     b, when given, must be compute_b(mf), e.g. the emergent field a step
-    already holds.
+    already holds.  The inner product is a Parseval sum over the half
+    spectrum, so it takes no inverse transform.
     """
     b = compute_b(mf) if b is None else b
-    return l2_inner(vector_potential(b), b)
+    spectra = _potential_spectrum(b)
+    if spectra is None:
+        return 0.0
+    g = b.grid
+    a_spec, b_spec = spectra
+    cross_power = sum(a.real * c.real + a.imag * c.imag for a, c in zip(a_spec, b_spec))
+    return float(g.volume * np.sum(g.parseval_weight * cross_power) / g.n_nodes**2)
 
 
 def hopf_invariant(mf: MagnetizationField, b: VectorField3 | None = None) -> float:

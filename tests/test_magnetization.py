@@ -20,10 +20,10 @@ from llgvm import (
 )
 from llgvm.errors import BlowUpError, ContractViolation, StateCorruption, TimeStepError
 from llgvm.grid import _fft, _ifft_real
-from llgvm.magnetization import MagnetizationField, unit_normalize
+from llgvm.magnetization import MagnetizationField, _rhs, unit_normalize
 from llgvm.textures import random_smooth_unit, skyrmion_tube, uniform_texture
 
-from conftest import BOX, random_unit_mf, rel_l2
+from conftest import BOX, band_limited_vector, random_unit_mf, rel_l2
 
 H_ZEEMAN = 0.5
 ALPHA = 0.1
@@ -223,6 +223,24 @@ class TestLLRhs:
             lhs = np.sum(tan**2) * grid32.cell_volume
             rhs = np.sum(1.0 - mf.m[2] ** 2) * grid32.cell_volume
             assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+
+    @pytest.mark.parametrize("with_current", [False, True], ids=["no_j", "j"])
+    def test_rate_matches_two_transform_form(self, grid32, with_current):
+        # the step's one-transform rate against (A f - alpha Lam m - A bih) / (1 + alpha^2),
+        # with lap m and bih m from separate inverse transforms
+        mf = MagnetizationField(grid32, random_smooth_unit(grid32, 33), H_ZEEMAN, ALPHA)
+        j = band_limited_vector(grid32, 34, k_cut=2, amplitude=0.2) if with_current else None
+        m, k2 = mf.m, grid32.k_squared
+        lap = _ifft_real(-k2 * mf.spectrum)
+        bih = _ifft_real(k2 * k2 * mf.spectrum)
+        lam = -np.sum(m * bih, axis=0)
+        drive = H_ZEEMAN * np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1, 1) - lap
+        if j is not None:
+            jgrad = sum(j.values[axis] * mf.gradient[axis] for axis in range(3))
+            drive = drive - np.cross(m, jgrad, axis=0)
+        f = drive - np.sum(drive * m, axis=0) * m
+        ref = (apply_a(m, f, ALPHA) - ALPHA * lam * m - apply_a(m, bih, ALPHA)) / (1.0 + ALPHA**2)
+        assert np.abs(_rhs(mf, j) - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_current_grid_mismatch(self, grid16, grid32):
         with pytest.raises(ContractViolation):

@@ -11,6 +11,7 @@ from llgvm import (
     curl,
     div,
     grad,
+    helicity,
     hopf_invariant,
     l2_inner,
     l2_norm,
@@ -184,6 +185,24 @@ class TestHopfInvariant:
             if (n + 1) % 25 == 0:
                 drift = max(drift, abs(hopf_invariant(mf) - h0))
         assert drift < 5e-3
+
+
+class TestHelicity:
+    def test_parseval_sum_matches_real_space_inner_product(self):
+        grid = PeriodicGrid.cubic(48, BOX)
+        mf = MagnetizationField(grid, hopfion(grid, 7.0), H, ALPHA)
+        b = compute_b(mf)
+        direct = l2_inner(vector_potential(b), b)
+        assert abs(helicity(mf, b) - direct) <= 1e-12 * abs(direct)
+
+    def test_zero_field_has_zero_helicity(self, grid16):
+        mf = MagnetizationField(grid16, uniform_texture(grid16), H, ALPHA)
+        assert helicity(mf, VectorField3.zeros(grid16)) == 0.0
+
+    def test_rejects_non_solenoidal_field(self, grid16):
+        mf = MagnetizationField(grid16, uniform_texture(grid16), H, ALPHA)
+        with pytest.raises(ContractViolation):
+            helicity(mf, grad(band_limited_scalar(grid16, 77)))
 
 
 class TestTopologyReport:

@@ -2,6 +2,8 @@
 
 Every field transform is a real-data one, the spectrum and partials of m are
 taken once per state, and nothing transforms a field known to be zero.  The
+LLG rate takes one inverse transform, of (k^4 - k^2) m_hat, the helicity is a
+Parseval sum that takes none, and no cross product goes through np.cross.  The
 particles of a state are deposited once, and the ledger reuses that charge.
 A step builds two CIC stencils, one for the gather at the half-step
 positions and one for the deposit at the new ones, and an ensemble kept in
@@ -36,14 +38,15 @@ COUPLED16 = "grid.n = 16\nkinetic.n_particles = 400\nrun.dt = 5e-4\n"
 def _step_and_row(monkeypatch, cfg_text):
     """One advance plus ledger_row from a fresh state.
 
-    Returns the ledger row, the (name, all-zero input) log of transforms and
-    the number of compute_b calls.
+    Returns the ledger row, the (name, all-zero input) log of transforms, the
+    number of compute_b calls and the number of np.cross calls.
     """
     cfg = parse_config_text(cfg_text)
     state = build_state(cfg)
     dt = validate_dt(cfg, state)
     log = []
     b_calls = []
+    crosses = []
     with monkeypatch.context() as mp:
         for name in FFT_NAMES:
             original = getattr(np.fft, name)
@@ -60,8 +63,15 @@ def _step_and_row(monkeypatch, cfg_text):
 
         for module in (coupler, topology):
             mp.setattr(module, "compute_b", counted_b)
+        cross = np.cross
+
+        def counted_cross(*args, **kwargs):
+            crosses.append(True)
+            return cross(*args, **kwargs)
+
+        mp.setattr(np, "cross", counted_cross)
         row = ledger_row(coupler.advance(state, dt))
-    return row, log, len(b_calls)
+    return row, log, len(b_calls), len(crosses)
 
 
 @pytest.mark.parametrize(
@@ -69,15 +79,16 @@ def _step_and_row(monkeypatch, cfg_text):
     [
         # at 16^3 the hopfion is not localized to 1e-6 on the box faces, so
         # the Hopf column is nan and costs no transform
-        (HOPFION16, 3, 9, False),
-        (HOPFION48, 4, 12, True),
-        (COUPLED16, 7, 13, False),
+        (HOPFION16, 3, 8, False),
+        (HOPFION48, 4, 8, True),
+        (COUPLED16, 7, 12, False),
     ],
     ids=["hopfion16", "hopfion48", "coupled16"],
 )
 def test_step_and_ledger_row_budget(monkeypatch, cfg_text, forward, inverse, hopf_finite):
-    row, log, b_calls = _step_and_row(monkeypatch, cfg_text)
+    row, log, b_calls, crosses = _step_and_row(monkeypatch, cfg_text)
     assert b_calls == 1  # the ledger's Hopf column reads the step's emergent b
+    assert crosses == 0
     names = [name for name, _ in log]
     assert names.count("rfftn") == forward
     assert names.count("irfftn") == inverse
