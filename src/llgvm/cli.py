@@ -116,7 +116,7 @@ def main(argv=None) -> int:
                 return _cmd_diag_topology(args)
             return _cmd_diag_energy(args)
         if args.command == "selftest":
-            return EXIT_OK if run_selftest(stream=sys.stdout) else EXIT_SELFTEST
+            return EXIT_OK if run_selftest() else EXIT_SELFTEST
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

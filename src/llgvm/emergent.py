@@ -19,12 +19,11 @@ import numpy as np
 
 from .errors import BlowUpError, ContractViolation
 from .grid import VectorField3, _cross, _fft, _partials
-from .magnetization import MagnetizationField, _check_norm
+from .magnetization import MagnetizationField
 
 
 def compute_b(mf: MagnetizationField) -> VectorField3:
     """Emergent magnetic field, node-collocated."""
-    _check_norm(mf)
     g = mf.grid
     dm = mf.gradient
     out = np.empty((3, *g.shape))

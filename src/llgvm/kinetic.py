@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, ContractViolation
-from .grid import PeriodicGrid, ScalarField, VectorField3
+from .grid import PeriodicGrid, ScalarField, VectorField3, _cross
 
 CHARGE = -1.0
 VELOCITY_CUTOFF_SIGMAS = 6.0
@@ -237,10 +237,7 @@ def _rotate(v: np.ndarray, rotvec: np.ndarray, angle: np.ndarray) -> np.ndarray:
     u = rotvec / angle
     c = np.cos(angle)
     dot = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-    cross = np.empty_like(v)
-    np.subtract(u[1] * v[2], u[2] * v[1], out=cross[0])
-    np.subtract(u[2] * v[0], u[0] * v[2], out=cross[1])
-    np.subtract(u[0] * v[1], u[1] * v[0], out=cross[2])
+    cross = _cross(u, v)
     cross *= np.sin(angle)
     out = v * c
     out += cross

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractViolation, DegenerateSliceError
 from .grid import VectorField3, _cross, _fft, _ifft_real, _spectral_power, div, l2_inner, l2_norm
-from .magnetization import MagnetizationField, _check_norm
+from .magnetization import MagnetizationField
 from .emergent import compute_b
 
 log = logging.getLogger(__name__)
@@ -47,7 +47,6 @@ def skyrmion_number(mf: MagnetizationField, z_index: int) -> float:
     The value is a sum of plaquette solid angles divided by 4 pi; for a
     non-degenerate slice it is an integer up to rounding.
     """
-    _check_norm(mf)
     nz = mf.grid.n_cells[2]
     if not -nz <= z_index < nz:
         raise ContractViolation(f"z index {z_index} out of range for {nz} slices")

@@ -27,13 +27,10 @@ from llgvm import (
     div,
     energy,
     hopf_invariant,
-    l2_inner,
     l2_norm,
     laplacian,
-    ll_rhs,
     lorentz_push,
     moment_exponent,
-    mollify,
     sample_initial,
     skyrmion_number,
     step,
@@ -45,8 +42,13 @@ from llgvm.coupler import advance
 from llgvm.grid import _fft, _ifft_real
 from llgvm.kinetic import ParticleEnsemble, lp_norm_of_field, moment_exponent_exact
 from llgvm.magnetization import MagnetizationField, unit_normalize
-from llgvm.maxwell import em_energy_leapfrog
 from llgvm.runner import build_state, validate_dt
+from llgvm.selftest import (
+    adjoint_defect,
+    lambda_identity_defect,
+    leapfrog_energy_drift,
+    speed_drift,
+)
 from llgvm.textures import hopfion, random_smooth_unit, skyrmion_tube
 
 from conftest import BOX, band_limited_vector, rel_l2
@@ -102,8 +104,7 @@ def test_criterion_2_mollifier_self_adjoint(grid16):
         for seed in range(100):
             j = band_limited_vector(grid16, 2000 + seed, k_cut=4)
             e = band_limited_vector(grid16, 3000 + seed, k_cut=4)
-            defect = abs(l2_inner(mollify(j, mol), e) - l2_inner(j, mollify(e, mol)))
-            assert defect <= 1e-12 * l2_norm(j) * l2_norm(e)
+            assert adjoint_defect(mol, j, e) <= 1e-12
 
 
 def test_criterion_3_topological_quantization():
@@ -164,24 +165,11 @@ def test_criterion_5_structural_identities(grid32, grid16):
             mf = MagnetizationField(
                 grid32, random_smooth_unit(grid32, 5000 + seed, 0.05, 1), H, ALPHA
             )
-            m = mf.m
-            _, lam = ll_rhs(mf)
-            lap = laplacian(mf.as_vector_field()).values
-            spec = _fft(m)
-            gradm = [_ifft_real(grid32._ik[a] * spec) for a in range(3)]
-            grad_sq = sum(np.sum(gm**2, axis=0) for gm in gradm)
-            expanded = (
-                np.sum(lap**2, axis=0)
-                + laplacian(ScalarField(grid32, grad_sq)).values
-                + 2.0
-                * sum(
-                    np.sum(gradm[a] * _ifft_real(grid32._ik[a] * _fft(lap)), axis=0)
-                    for a in range(3)
-                )
-            )
-            assert rel_l2(lam, expanded) < 1e-8
+            assert lambda_identity_defect(mf) < 1e-8
 
-            bih = _ifft_real(spec * grid32.k_squared**2)
+            m, gradm = mf.m, mf.gradient
+            lap = laplacian(mf.as_vector_field()).values
+            bih = _ifft_real(mf.spectrum * grid32.k_squared**2)
             lhs = np.cross(m, bih, axis=0)
             rhs = laplacian(VectorField3(grid32, np.cross(m, lap, axis=0))).values.copy()
             for axis in range(3):
@@ -217,11 +205,8 @@ def test_criterion_6_kinetic_structure(grid16):
         mass0 = p.total_mass
         e0 = VectorField3.zeros(grid16)
         b0 = VectorField3.constant(grid16, (0.0, 0.0, 1.0))
-        speeds0 = np.sqrt(np.sum(p.velocities**2, axis=0))
-        q = p
-        for _ in range(10000):
-            q = lorentz_push(q, e0, b0, 1e-2)
-        assert np.abs(np.sqrt(np.sum(q.velocities**2, axis=0)) / speeds0 - 1.0).max() < 1e-11
+        drift, q = speed_drift(p, e0, b0, 1e-2, 10000)
+        assert drift < 1e-11
         assert q.total_mass == mass0
 
         efield = band_limited_vector(grid16, 1, k_cut=2, amplitude=0.5)
@@ -286,16 +271,8 @@ def test_criterion_7_maxwell_solver(grid16):
         assert div_b_norm(em) < 1e-12 * scale
 
         em = EMFieldPair(band_limited_vector(grid16, 64), VectorField3.zeros(grid16), 1.0, 1.0)
-        dt = 0.3 * cfl_limit(grid16, 1.0, 1.0)
-        reference = None
-        worst = 0.0
-        for _ in range(1000):
-            e_mid, b_prev = em.E.values, em.B.values
-            em = step_fields(em, None, dt)
-            u = em_energy_leapfrog(e_mid, b_prev, em.B.values, 1.0, 1.0, grid16)
-            reference = u if reference is None else reference
-            worst = max(worst, abs(u - reference))
-        assert worst < 1e-10 * reference
+        drift, _ = leapfrog_energy_drift(em, 0.3 * cfl_limit(grid16, 1.0, 1.0), 1000)
+        assert drift < 1e-10
 
         grid = PeriodicGrid.cubic(64, BOX)
         n_mode = 4

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from llgvm import Mollifier, ScalarField, coupler, l2_inner, l2_norm, mollify
+from llgvm import Mollifier, ScalarField, coupler, l2_norm, mollify
 from llgvm.config import parse_config_text
 from llgvm.coupler import advance, energy_audit, make_initial_state, total_force_fields
 from llgvm.errors import LLGVMError, TimeStepError
@@ -14,8 +14,6 @@ from llgvm.magnetization import MagnetizationField
 from llgvm.maxwell import init_compatible
 from llgvm.runner import LEDGER_COLUMNS, build_state, ledger_row, run_simulation, validate_dt
 from llgvm.textures import skyrmion_tube, uniform_texture
-
-from conftest import band_limited_vector
 
 H, ALPHA = 0.5, 0.1
 
@@ -119,15 +117,6 @@ class TestEnergyAudit:
         nxt = advance(state, 1e-4)
         assert nxt.ledger.coupling_residual == 0.0
         assert energy_audit(state.em, nxt.em, nxt.emergent.e, None, None, None) == 0.0
-
-    def test_smoothing_self_adjointness_pairing(self, grid16):
-        mol = Mollifier.build(grid16, 4.0 * grid16.spacing[0])
-        for seed in range(10):
-            j = band_limited_vector(grid16, 500 + seed, k_cut=4)
-            e = band_limited_vector(grid16, 600 + seed, k_cut=4)
-            lhs = l2_inner(mollify(j, mol), e)
-            rhs = l2_inner(j, mollify(e, mol))
-            assert abs(lhs - rhs) <= 1e-12 * l2_norm(j) * l2_norm(e)
 
     def test_audit_matches_inline_value(self):
         cfg = parse_config_text("grid.n = 16\nkinetic.n_particles = 400\nrun.dt = 5e-4\n")

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from llgvm import Mollifier, PeriodicGrid, ScalarField, l2_inner, l2_norm, mollify
+from llgvm import Mollifier, PeriodicGrid, ScalarField, l2_norm, mollify
 from llgvm.errors import ContractViolation
 
-from conftest import BOX, band_limited_scalar, band_limited_vector
+from conftest import BOX, band_limited_scalar
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +65,6 @@ class TestMollify:
         lhs = mollify(ScalarField(grid16, 2.0 * a.values - b.values), mol16).values
         rhs = 2.0 * mollify(a, mol16).values - mollify(b, mol16).values
         assert np.abs(lhs - rhs).max() < 1e-13 * max(1.0, np.abs(rhs).max())
-
-    def test_self_adjoint(self, mol16, grid16):
-        for seed in range(10):
-            f = band_limited_vector(grid16, 40 + seed, k_cut=4)
-            g = band_limited_vector(grid16, 90 + seed, k_cut=4)
-            lhs = l2_inner(mollify(f, mol16), g)
-            rhs = l2_inner(f, mollify(g, mol16))
-            assert abs(lhs - rhs) <= 1e-12 * l2_norm(f) * l2_norm(g)
 
     def test_second_order_accuracy(self):
         # smoothing error on a single mode is O(eps^2) for even kernels
