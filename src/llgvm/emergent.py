@@ -27,8 +27,11 @@ def compute_b(mf: MagnetizationField) -> VectorField3:
     g = mf.grid
     dm = mf.gradient
     out = np.empty((3, *g.shape))
+    work = np.empty((3, *g.shape))
     for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        out[i] = np.sum(mf.m * _cross(dm[j], dm[k]), axis=0)
+        _cross(dm[j], dm[k], out=work)
+        work *= mf.m
+        np.sum(work, axis=0, out=out[i])
     return VectorField3(g, out)
 
 
@@ -51,8 +54,11 @@ def compute_e(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: floa
     dm_dt = (mf_next.m - mf_prev.m) / dt
     dm = _partials(g, _fft(m_mid))
     out = np.empty((3, *g.shape))
+    work = np.empty((3, *g.shape))
     for i in range(3):
-        out[i] = np.sum(m_mid * _cross(dm[i], dm_dt), axis=0)
+        _cross(dm[i], dm_dt, out=work)
+        work *= m_mid
+        np.sum(work, axis=0, out=out[i])
     return VectorField3(g, out)
 
 

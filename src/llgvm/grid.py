@@ -10,6 +10,14 @@ Fields are real, so every transform is a real-data one: a spectrum holds the
 modes 0..Nz/2 of the last axis and all modes of the other two.  Every other
 mode of the last axis is the conjugate of a stored one, so Parseval sums
 count the interior modes of the halved axis twice (``parseval_weight``).
+
+Transforms allocate only their outputs.  ``_fft`` runs every pass of
+``np.fft.rfftn(..., out=)`` in one output array; ``_ifft_real`` runs
+``np.fft.ifftn(spec, axes=(-2, -3), out=spec)`` (x first, as irfftn does)
+and then one ``np.fft.irfft`` over z, bitwise equal to irfftn.
+``_ifft_real`` and ``_spectral_power`` consume their input: it must be a
+writable array the caller owns, and a read-only one (a cached spectrum)
+raises ValueError untouched.
 """
 
 from __future__ import annotations
@@ -208,27 +216,34 @@ Field = ScalarField | VectorField3
 
 def _fft(values: np.ndarray) -> np.ndarray:
     """Half spectrum of a real array over its trailing three (grid) axes."""
-    return np.fft.rfftn(values, axes=(-3, -2, -1))
+    out = np.empty((*values.shape[:-1], values.shape[-1] // 2 + 1), np.complex128)
+    return np.fft.rfftn(values, axes=(-3, -2, -1), out=out)
 
 
 def _ifft_real(spec: np.ndarray) -> np.ndarray:
-    """Real array from a half spectrum; the node counts are even by contract."""
-    nx, ny, nzh = spec.shape[-3:]
-    return np.fft.irfftn(spec, s=(nx, ny, 2 * (nzh - 1)), axes=(-3, -2, -1))
+    """Real array from a half spectrum; the node counts are even by contract.
+
+    Consumes ``spec``, which is left holding its x-y inverse.
+    """
+    np.fft.ifftn(spec, axes=(-2, -3), out=spec)
+    return np.fft.irfft(spec, n=2 * (spec.shape[-1] - 1), axis=-1)
 
 
 def _partials(grid: PeriodicGrid, spec: np.ndarray) -> list[np.ndarray]:
     """The three spectral partial derivatives of a field, from its half spectrum."""
-    return [_ifft_real(grid._ik[axis] * spec) for axis in range(3)]
+    product = np.empty_like(spec)  # one buffer, consumed by each inverse
+    return [_ifft_real(np.multiply(grid._ik[axis], spec, out=product)) for axis in range(3)]
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a x b over the leading axis of (3, ...) arrays, bitwise equal to np.cross(a, b, axis=0).
 
-    The components are written out in np.cross's order into one output, so no
-    operand is copied to move its vector axis last.
+    The components are written out in np.cross's order into one output (a
+    new array, or ``out``, which must not overlap a or b), so no operand is
+    copied to move its vector axis last.
     """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     np.multiply(a[1], b[2], out=out[0])
     out[0] -= a[2] * b[1]
     np.multiply(a[2], b[0], out=out[1])
@@ -239,9 +254,15 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _spectral_power(grid: PeriodicGrid, spec: np.ndarray, weight=1.0) -> float:
-    """sum_k weight(k) |spec(k)/N|^2 over the full spectrum, from the half spectrum."""
-    amp = spec / grid.n_nodes
-    return float(np.sum(grid.parseval_weight * weight * (amp.real**2 + amp.imag**2)))
+    """sum_k weight(k) |spec(k)/N|^2 over the full spectrum, from the half spectrum.
+
+    Consumes ``spec``.
+    """
+    amp = np.divide(spec, grid.n_nodes, out=spec)
+    power = np.square(amp.real)
+    power += np.square(amp.imag, out=amp.imag)
+    power *= grid.parseval_weight * weight
+    return float(np.sum(power))
 
 
 def grad(field: ScalarField) -> VectorField3:

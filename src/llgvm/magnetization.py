@@ -215,11 +215,13 @@ def step(
     dmdt = _rhs(mf, j)
     k2 = g.k_squared
     denom = alpha2 + coeffs.stabilizer_c * dt * k2 * k2
-    rhs_spec = _fft(dmdt) * g.dealias_mask
+    rhs_spec = _fft(dmdt)
+    rhs_spec *= g.dealias_mask
+    rhs_spec /= denom
     # Re-project the dealiased, stabilized rate onto the tangent space so the
     # renormalization stays a second-order correction even for marginally
     # resolved data.
-    rate = _ifft_real(rhs_spec / denom)
+    rate = _ifft_real(rhs_spec)
     rate -= np.sum(rate * mf.m, axis=0) * mf.m
     m_star = mf.m + dt * alpha2 * rate
     m_new = unit_normalize(m_star, blow_up_floor=0.5)

@@ -53,7 +53,9 @@ class Mollifier:
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         """Convolve a raw array whose trailing three axes match the grid."""
-        return _ifft_real(_fft(values) * self.symbol)
+        spec = _fft(values)
+        spec *= self.symbol
+        return _ifft_real(spec)
 
 
 def mollify(field: Field, mollifier: Mollifier) -> Field:

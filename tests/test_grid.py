@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from llgvm import (
     laplacian,
 )
 from llgvm.errors import ContractViolation
-from llgvm.grid import _cross
+from llgvm.grid import _cross, _fft, _ifft_real, _spectral_power
 from llgvm.textures import random_smooth_unit
 
 from conftest import BOX, band_limited_scalar, band_limited_vector
@@ -319,6 +320,46 @@ class TestCross:
         e3 = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1, 1)
         assert np.array_equal(_cross(e3, a), np.cross(e3, a, axis=0))
         assert np.array_equal(_cross(a, e3), np.cross(a, e3, axis=0))
+
+
+TRANSFORM_CASES = [
+    pytest.param(lead + shape, id=f"{'vector' if lead else 'scalar'}-{'x'.join(map(str, shape))}")
+    for shape in ((16, 16, 16), (48, 48, 48), (8, 12, 16), (16, 8, 12))
+    for lead in ((), (3,))
+]
+
+
+class TestTransforms:
+    """_fft and _ifft_real are numpy's rfftn and irfftn, and allocate only their outputs."""
+
+    @pytest.mark.parametrize("shape", TRANSFORM_CASES)
+    def test_bitwise_equal_to_rfftn_and_irfftn(self, shape):
+        values = np.random.default_rng(23).standard_normal(shape)
+        spec = _fft(values)
+        assert np.array_equal(spec, np.fft.rfftn(values, axes=(-3, -2, -1)))
+        ref = np.fft.irfftn(spec, s=shape[-3:], axes=(-3, -2, -1))
+        assert np.array_equal(_ifft_real(spec.copy()), ref)
+
+    @pytest.mark.parametrize("shape", TRANSFORM_CASES)
+    def test_peak_allocation_is_the_output(self, shape):
+        values = np.random.default_rng(29).standard_normal(shape)
+        for transform, arg in ((_fft, values), (_ifft_real, _fft(values))):
+            tracemalloc.start()
+            try:
+                out = transform(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * out.nbytes, transform.__name__
+
+    def test_cached_spectrum_is_refused_untouched(self, grid16):
+        mf = MagnetizationField(grid16, random_smooth_unit(grid16, 31, 0.3, 2), 0.5, 0.1)
+        before = mf.spectrum.copy()
+        with pytest.raises(ValueError):
+            _ifft_real(mf.spectrum)
+        with pytest.raises(ValueError):
+            _spectral_power(grid16, mf.spectrum)
+        assert np.array_equal(mf.spectrum, before)
 
 
 def test_import_does_not_load_scipy():

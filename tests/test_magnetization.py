@@ -21,7 +21,6 @@ from llgvm import (
 from llgvm.errors import BlowUpError, ContractViolation, StateCorruption, TimeStepError
 from llgvm.grid import _fft, _ifft_real
 from llgvm.magnetization import MagnetizationField, _rhs, unit_normalize
-from llgvm.selftest import lambda_identity_defect
 from llgvm.textures import random_smooth_unit, skyrmion_tube, uniform_texture
 
 from conftest import BOX, band_limited_vector, random_unit_mf, rel_l2
@@ -164,12 +163,6 @@ class TestLLRhs:
             mf = random_unit_mf(grid32, 70 + seed, amplitude=0.1, k_cut=2)
             dmdt, _ = ll_rhs(mf)
             assert np.abs(np.sum(mf.m * dmdt.values, axis=0)).max() < 1e-8
-
-    def test_lambda_identity(self, grid32):
-        # -m . bih(m) agrees with |lap m|^2 + lap|grad m|^2 + 2 grad m . grad lap m
-        for seed in range(5):
-            mf = random_unit_mf(grid32, 50 + seed, amplitude=0.05, k_cut=1)
-            assert lambda_identity_defect(mf) < 1e-8
 
     def test_rotation_operator_norm(self, grid16):
         # |A(m) xi|^2 = (1 + alpha^2) |xi|^2 for tangent xi, node-wise

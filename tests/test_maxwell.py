@@ -100,7 +100,8 @@ class TestStepFields:
             em = step_fields(em, None, dt)
         assert div_b_norm(em) < 1e-12 * max(scale, np.abs(em.B.values).max())
 
-    @pytest.mark.parametrize("eps_r,mu_r", EPS_KEYS)
+    # vacuum, (1, 1), is acceptance criterion 7's run of this check
+    @pytest.mark.parametrize("eps_r,mu_r", EPS_KEYS[1:])
     def test_source_free_energy_conservation(self, grid16, eps_r, mu_r):
         # the staggered-in-time functional is conserved to 1e-10 over 1000 steps
         em = EMFieldPair(

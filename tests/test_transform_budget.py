@@ -1,7 +1,9 @@
 """Transform, stencil and deposit budget of one coupled step plus its ledger row.
 
-Every field transform is a real-data one, the spectrum and partials of m are
-taken once per state, and nothing transforms a field known to be zero.  The
+Every field transform is a real-data one: a forward transform is one rfftn,
+and an inverse is one in-place ifftn over x and y, on a complex half
+spectrum, plus one irfft over z.  The spectrum and partials of m are taken
+once per state, and nothing transforms a field known to be zero.  The
 LLG rate takes one inverse transform, of (k^4 - k^2) m_hat, the helicity is a
 Parseval sum that takes none, and no cross product goes through np.cross.  The
 particles of a state are deposited once, and the ledger reuses that charge.
@@ -24,7 +26,7 @@ from llgvm.maxwell import gauss_residual
 from llgvm.runner import build_state, ledger_row, validate_dt
 from llgvm.smoothing import Mollifier, mollify
 
-FFT_NAMES = ("fftn", "ifftn", "rfftn", "irfftn")
+FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
 
 HOPFION16 = "grid.n = 16\nllg.initial = hopfion\nkinetic.n_particles = 0\nrun.dt = 1e-5\n"
 # the physics of configs/hopfion.cfg, where the Hopf column is finite
@@ -38,8 +40,8 @@ COUPLED16 = "grid.n = 16\nkinetic.n_particles = 400\nrun.dt = 5e-4\n"
 def _step_and_row(monkeypatch, cfg_text):
     """One advance plus ledger_row from a fresh state.
 
-    Returns the ledger row, the (name, all-zero input) log of transforms, the
-    number of compute_b calls and the number of np.cross calls.
+    Returns the ledger row, the (name, all-zero input, complex input) log of
+    transforms, the number of compute_b calls and the number of np.cross calls.
     """
     cfg = parse_config_text(cfg_text)
     state = build_state(cfg)
@@ -52,7 +54,7 @@ def _step_and_row(monkeypatch, cfg_text):
             original = getattr(np.fft, name)
 
             def counted(a, *args, _name=name, _original=original, **kwargs):
-                log.append((_name, not np.any(a)))
+                log.append((_name, not np.any(a), np.iscomplexobj(a)))
                 return _original(a, *args, **kwargs)
 
             mp.setattr(np.fft, name, counted)
@@ -89,11 +91,13 @@ def test_step_and_ledger_row_budget(monkeypatch, cfg_text, forward, inverse, hop
     row, log, b_calls, crosses = _step_and_row(monkeypatch, cfg_text)
     assert b_calls == 1  # the ledger's Hopf column reads the step's emergent b
     assert crosses == 0
-    names = [name for name, _ in log]
+    names = [name for name, _, _ in log]
     assert names.count("rfftn") == forward
-    assert names.count("irfftn") == inverse
-    assert len(names) == forward + inverse  # no complex transform of real data
-    assert not any(zero for _, zero in log), "a transform of an all-zero input"
+    # an inverse is one ifftn over x and y, then one irfft over z
+    assert [name for name in names if name != "rfftn"] == ["ifftn", "irfft"] * inverse
+    # no complex transform of real data
+    assert all(is_complex for name, _, is_complex in log if name == "ifftn")
+    assert not any(zero for _, zero, _ in log), "a transform of an all-zero input"
     assert np.isfinite(row["hopf"]) == hopf_finite
     if hopf_finite:
         assert round(row["hopf"]) == 1
