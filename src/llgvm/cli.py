@@ -45,7 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to a key = value config file")
     p_run.add_argument("--output", default=None, help="output directory (overrides run.output_dir)")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker thread cap; results are identical for every value")
+                       help="checked to be >= 1, otherwise no effect: every run is"
+                            " single-threaded NumPy, so results are identical for every value")
     p_run.add_argument("--seed", type=int, default=None, help="override run.seed and kinetic.seed")
 
     p_diag = sub.add_parser("diag", help="diagnostics on snapshot files")
@@ -69,7 +70,6 @@ def _cmd_run(args) -> int:
         cfg.values["kinetic.seed"] = args.seed
     if args.threads < 1:
         raise ConfigError("--threads must be >= 1")
-    # All kernels reduce in a fixed order; the thread cap cannot change results.
     run_simulation(cfg, output_dir=args.output)
     return EXIT_OK
 

@@ -8,6 +8,7 @@ rejected so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -27,11 +28,18 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 # key -> (converter, default); a None default means "derived later".
@@ -40,33 +48,33 @@ SCHEMA = {
     "grid.nx": (int, None),
     "grid.ny": (int, None),
     "grid.nz": (int, None),
-    "grid.box": (float, 16.0),
-    "grid.lx": (float, None),
-    "grid.ly": (float, None),
-    "grid.lz": (float, None),
-    "llg.alpha": (float, 0.1),
-    "llg.h": (float, 0.5),
-    "llg.stabilizer_c": (float, None),
-    "llg.dt": (float, None),  # alias of run.dt
+    "grid.box": (_parse_float, 16.0),
+    "grid.lx": (_parse_float, None),
+    "grid.ly": (_parse_float, None),
+    "grid.lz": (_parse_float, None),
+    "llg.alpha": (_parse_float, 0.1),
+    "llg.h": (_parse_float, 0.5),
+    "llg.stabilizer_c": (_parse_float, None),
+    "llg.dt": (_parse_float, None),  # alias of run.dt
     "llg.initial": (str, "random_smooth"),
-    "llg.init_radius": (float, None),
-    "llg.init_amplitude": (float, 0.05),
+    "llg.init_radius": (_parse_float, None),
+    "llg.init_amplitude": (_parse_float, 0.05),
     "llg.init_kcut": (int, 2),
-    "em.eps_r": (float, 1.0),
-    "em.mu_r": (float, 1.0),
+    "em.eps_r": (_parse_float, 1.0),
+    "em.mu_r": (_parse_float, 1.0),
     "em.init_modes": (str, ""),
     "kinetic.n_particles": (int, 10000),
     "kinetic.seed": (int, None),  # defaults to run.seed
     "kinetic.f0.kind": (str, "bump_maxwellian"),
     "kinetic.f0.center": (_parse_triple, None),  # defaults to the box center
-    "kinetic.f0.radius": (float, 1.6),
-    "kinetic.f0.v_thermal": (float, 0.3),
-    "kinetic.f0.mass": (float, 1.0),
-    "kinetic.f0.drift": (float, 0.8),
+    "kinetic.f0.radius": (_parse_float, 1.6),
+    "kinetic.f0.v_thermal": (_parse_float, 0.3),
+    "kinetic.f0.mass": (_parse_float, 1.0),
+    "kinetic.f0.drift": (_parse_float, 0.8),
     "kinetic.f0.position": (_parse_triple, None),
     "kinetic.f0.velocity": (_parse_triple, None),
-    "mollifier.epsilon": (float, None),  # defaults to 4 grid spacings
-    "run.dt": (float, 5e-5),
+    "mollifier.epsilon": (_parse_float, None),  # defaults to 4 grid spacings
+    "run.dt": (_parse_float, 5e-5),
     "run.n_steps": (int, 200),
     "run.snapshot_every": (int, 0),
     "run.output_dir": (str, "out"),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .emergent import EmergentFieldPair, compute_b, compute_e
 from .errors import ContractViolation, LLGVMError
-from .grid import ScalarField, VectorField3, l2_inner, l2_norm
+from .grid import ScalarField, VectorField3, l2_inner
 from .kinetic import ParticleEnsemble, canonical, deposit, lorentz_push
 from .magnetization import LLCoefficients, MagnetizationField, energy, step
 from .maxwell import EMFieldPair, avg_E_to_nodes, avg_B_to_nodes, em_energy, step_fields
@@ -185,7 +185,7 @@ def energy_audit(
     -<K j, e^{n+1/2}>.  Smoothing is self-adjoint to rounding, so the sum
     isolates the time-centering error, which is first order in dt.
     """
-    if j is None or l2_norm(j) == 0.0:
+    if j is None:
         return 0.0
     e_prev_node = avg_E_to_nodes(em_prev)
     e_next_node = avg_E_to_nodes(em_next)

@@ -22,17 +22,22 @@ from .grid import VectorField3, _cross, _fft, _partials
 from .magnetization import MagnetizationField
 
 
+def _triple_products(m: np.ndarray, pairs) -> np.ndarray:
+    """The (3, ...) array of m . (a x b) for the three (a, b) pairs, in one work array."""
+    out = np.empty(m.shape)
+    work = np.empty(m.shape)
+    for i, (a, b) in enumerate(pairs):
+        _cross(a, b, out=work)
+        work *= m
+        np.sum(work, axis=0, out=out[i])
+    return out
+
+
 def compute_b(mf: MagnetizationField) -> VectorField3:
     """Emergent magnetic field, node-collocated."""
-    g = mf.grid
     dm = mf.gradient
-    out = np.empty((3, *g.shape))
-    work = np.empty((3, *g.shape))
-    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        _cross(dm[j], dm[k], out=work)
-        work *= mf.m
-        np.sum(work, axis=0, out=out[i])
-    return VectorField3(g, out)
+    pairs = ((dm[1], dm[2]), (dm[2], dm[0]), (dm[0], dm[1]))
+    return VectorField3(mf.grid, _triple_products(mf.m, pairs))
 
 
 def compute_e(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: float) -> VectorField3:
@@ -53,13 +58,7 @@ def compute_e(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: floa
     m_mid = total / norms
     dm_dt = (mf_next.m - mf_prev.m) / dt
     dm = _partials(g, _fft(m_mid))
-    out = np.empty((3, *g.shape))
-    work = np.empty((3, *g.shape))
-    for i in range(3):
-        _cross(dm[i], dm_dt, out=work)
-        work *= m_mid
-        np.sum(work, axis=0, out=out[i])
-    return VectorField3(g, out)
+    return VectorField3(g, _triple_products(m_mid, [(d, dm_dt) for d in dm]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -152,21 +152,15 @@ def sample_initial(spec: F0Spec, n_particles: int, seed: int, grid: PeriodicGrid
             rng, n_particles, SPATIAL_CUTOFF_SIGMAS
         )
         pos %= box
-        vel = spec.v_thermal * _truncated_normals(rng, n_particles, VELOCITY_CUTOFF_SIGMAS)
-        mass = spec.mass
-    elif isinstance(spec, UniformMaxwellian):
+    elif isinstance(spec, (UniformMaxwellian, TwoStream)):
         pos = rng.random((n_particles, 3)) * box
-        vel = spec.v_thermal * _truncated_normals(rng, n_particles, VELOCITY_CUTOFF_SIGMAS)
-        mass = spec.mass
-    elif isinstance(spec, TwoStream):
-        pos = rng.random((n_particles, 3)) * box
-        vel = spec.v_thermal * _truncated_normals(rng, n_particles, VELOCITY_CUTOFF_SIGMAS)
-        signs = np.where(rng.random(n_particles) < 0.5, -1.0, 1.0)
-        vel[:, 0] += signs * spec.v_drift
-        mass = spec.mass
     else:
         raise ConfigError(f"unknown initial distribution {spec!r}")
-    weights = np.full(n_particles, mass / n_particles)
+    vel = spec.v_thermal * _truncated_normals(rng, n_particles, VELOCITY_CUTOFF_SIGMAS)
+    if isinstance(spec, TwoStream):
+        signs = np.where(rng.random(n_particles) < 0.5, -1.0, 1.0)
+        vel[:, 0] += signs * spec.v_drift
+    weights = np.full(n_particles, spec.mass / n_particles)
     return ParticleEnsemble(pos.T, vel.T, weights)  # the (n, 3) draws, as rows
 
 
@@ -232,9 +226,14 @@ def gather(fields: Sequence[VectorField3], positions: np.ndarray) -> list[np.nda
     return outs
 
 
-def _rotate(v: np.ndarray, rotvec: np.ndarray, angle: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation of the columns of v (3, n) by rotvec (3, n), angle > 0."""
-    u = rotvec / angle
+def _rodrigues_rotate(v: np.ndarray, rotvec: np.ndarray) -> np.ndarray:
+    """Rotate each column of v (3, n) by the corresponding rotation vector (exact).
+
+    A non-zero angle is >= 2e-162, so the floor ``tiny`` leaves its division
+    exact; a zero-angle column has sin = 1 - cos = 0 and comes back unchanged.
+    """
+    angle = np.sqrt(rotvec[0] * rotvec[0] + rotvec[1] * rotvec[1] + rotvec[2] * rotvec[2])
+    u = rotvec / np.maximum(angle, np.finfo(np.float64).tiny)
     c = np.cos(angle)
     dot = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
     cross = _cross(u, v)
@@ -244,21 +243,6 @@ def _rotate(v: np.ndarray, rotvec: np.ndarray, angle: np.ndarray) -> np.ndarray:
     u *= dot
     u *= 1.0 - c
     out += u
-    return out
-
-
-def _rodrigues_rotate(v: np.ndarray, rotvec: np.ndarray) -> np.ndarray:
-    """Rotate each column of v (3, n) by the corresponding rotation vector (exact).
-
-    Columns with a zero rotation vector come back unchanged.
-    """
-    angle = np.sqrt(rotvec[0] * rotvec[0] + rotvec[1] * rotvec[1] + rotvec[2] * rotvec[2])
-    act = angle > 0.0
-    if act.all():
-        return _rotate(v, rotvec, angle)
-    out = v.copy()
-    if act.any():
-        out[:, act] = _rotate(v[:, act], rotvec[:, act], angle[act])
     return out
 
 

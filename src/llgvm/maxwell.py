@@ -31,26 +31,15 @@ def _bwd_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (values - np.roll(values, 1, axis=axis)) / h
 
 
-def curl_edge_to_face(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+def _curl(values: np.ndarray, grid: PeriodicGrid, diff) -> np.ndarray:
+    """Staggered curl with one-sided differences diff (_fwd_diff or _bwd_diff)."""
     hx, hy, hz = grid.spacing
-    ex, ey, ez = values
+    vx, vy, vz = values
     return np.stack(
         [
-            _fwd_diff(ez, 1, hy) - _fwd_diff(ey, 2, hz),
-            _fwd_diff(ex, 2, hz) - _fwd_diff(ez, 0, hx),
-            _fwd_diff(ey, 0, hx) - _fwd_diff(ex, 1, hy),
-        ]
-    )
-
-
-def curl_face_to_edge(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    hx, hy, hz = grid.spacing
-    bx, by, bz = values
-    return np.stack(
-        [
-            _bwd_diff(bz, 1, hy) - _bwd_diff(by, 2, hz),
-            _bwd_diff(bx, 2, hz) - _bwd_diff(bz, 0, hx),
-            _bwd_diff(by, 0, hx) - _bwd_diff(bx, 1, hy),
+            diff(vz, 1, hy) - diff(vy, 2, hz),
+            diff(vx, 2, hz) - diff(vz, 0, hx),
+            diff(vy, 0, hx) - diff(vx, 1, hy),
         ]
     )
 
@@ -112,13 +101,6 @@ def _seven_point_symbol(grid: PeriodicGrid) -> np.ndarray:
     )
 
 
-def _discrete_wavevector(grid: PeriodicGrid, n_mode) -> np.ndarray:
-    """Staggered-difference wavevector k~_i = 2 sin(k_i h_i / 2)/h_i for mode n."""
-    k = np.array([2.0 * np.pi * n_mode[a] / grid.box_length[a] for a in range(3)])
-    h = np.asarray(grid.spacing)
-    return 2.0 * np.sin(0.5 * k * h) / h
-
-
 def init_compatible(
     rho0: ScalarField,
     modes: tuple[EMMode, ...] = (),
@@ -146,8 +128,10 @@ def init_compatible(
     evals = np.stack(
         [-_fwd_diff(phi, a, grid.spacing[a]) for a in range(3)]
     )
+    h = np.asarray(grid.spacing)
     for mode in modes:
-        ktil = _discrete_wavevector(grid, mode.n)
+        k = np.array([2.0 * np.pi * mode.n[a] / grid.box_length[a] for a in range(3)])
+        ktil = 2.0 * np.sin(0.5 * k * h) / h  # staggered-difference wavevector
         kt2 = float(np.dot(ktil, ktil))
         if kt2 == 0.0:
             raise ContractViolation(f"mode {mode.n} has zero wavevector")
@@ -158,7 +142,6 @@ def init_compatible(
         if norm < 1e-12:
             raise ContractViolation(f"cannot build a transverse polarization for mode {mode.n}")
         pol = pol / norm * mode.amplitude
-        k = np.array([2.0 * np.pi * mode.n[a] / grid.box_length[a] for a in range(3)])
         for a in range(3):
             offsets = [0.0, 0.0, 0.0]
             offsets[a] = 0.5
@@ -166,7 +149,7 @@ def init_compatible(
             phase = k[0] * xs[0] + k[1] * xs[1] + k[2] * xs[2]
             evals[a] += pol[a] * np.cos(phase)
     bvals = (
-        curl_edge_to_face(potential.values, grid)
+        _curl(potential.values, grid, _fwd_diff)
         if potential is not None
         else np.zeros((3, *grid.shape))
     )
@@ -185,8 +168,8 @@ def step_fields(em: EMFieldPair, j_mollified: VectorField3 | None, dt: float) ->
     if dt >= limit:
         raise TimeStepError(f"dt = {dt:.3e} violates the staggered CFL bound {limit:.3e}")
     grid = em.grid
-    b_new = em.B.values - dt * curl_edge_to_face(em.E.values, grid)
-    e_new = em.E.values + (dt / em.eps_r) * curl_face_to_edge(b_new, grid) / em.mu_r
+    b_new = em.B.values - dt * _curl(em.E.values, grid, _fwd_diff)
+    e_new = em.E.values + (dt / em.eps_r) * _curl(b_new, grid, _bwd_diff) / em.mu_r
     if j_mollified is not None:
         if j_mollified.grid != grid:
             raise ContractViolation("current grid mismatch")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
-from .config import RunConfig
+from .config import RunConfig, _parse_float
 from .coupler import SimState, advance, make_initial_state
 from .errors import ConfigError, ContractViolation, DegenerateSliceError
 from .grid import PeriodicGrid, l2_norm
@@ -73,10 +73,12 @@ def parse_modes(text: str) -> tuple[EMMode, ...]:
             raise ConfigError(f"bad em.init_modes entry {chunk!r}")
         try:
             n = (int(parts[0]), int(parts[1]), int(parts[2]))
-            amp = float(parts[3])
+            amp = _parse_float(parts[3])
             pol = int(parts[4]) if len(parts) == 5 else 0
         except ValueError as err:
             raise ConfigError(f"bad em.init_modes entry {chunk!r}: {err}") from err
+        if n == (0, 0, 0):
+            raise ConfigError(f"bad em.init_modes entry {chunk!r}: zero wavevector")
         modes.append(EMMode(n, amp, pol))
     return tuple(modes)
 

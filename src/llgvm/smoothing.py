@@ -14,19 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .grid import Field, PeriodicGrid, ScalarField, _fft, _ifft_real
+from .grid import Field, PeriodicGrid, ScalarField, _along, _fft, _ifft_real
 
 
 def _min_image_radius_sq(grid: PeriodicGrid) -> np.ndarray:
-    parts = []
-    for axis in range(3):
-        x = grid.axis_coords(axis)
-        l = grid.box_length[axis]
-        d = np.minimum(x, l - x)
-        shape = [1, 1, 1]
-        shape[axis] = grid.n_cells[axis]
-        parts.append((d**2).reshape(shape))
-    return parts[0] + parts[1] + parts[2]
+    coords = (grid.axis_coords(axis) for axis in range(3))
+    return sum(
+        _along(axis, np.minimum(x, l - x) ** 2)
+        for axis, (x, l) in enumerate(zip(coords, grid.box_length))
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,28 +48,18 @@ class Snapshot:
 
 
 def _payload_bytes(obj) -> tuple[int, tuple, tuple, bytes]:
-    if isinstance(obj, MagnetizationField):
-        head = np.array([obj.h_zeeman, obj.alpha])
-        data = np.concatenate([head, obj.m.ravel(order="C")])
-        return KIND_MAGNETIZATION, obj.grid.n_cells, obj.grid.box_length, data.astype("<f8", copy=False).tobytes()
-    if isinstance(obj, VectorField3):
-        return (
-            KIND_VECTOR,
-            obj.grid.n_cells,
-            obj.grid.box_length,
-            obj.values.ravel(order="C").astype("<f8", copy=False).tobytes(),
-        )
-    if isinstance(obj, ScalarField):
-        return (
-            KIND_SCALAR,
-            obj.grid.n_cells,
-            obj.grid.box_length,
-            obj.values.ravel(order="C").astype("<f8", copy=False).tobytes(),
-        )
     if isinstance(obj, ParticleEnsemble):
         rec = np.concatenate([obj.positions, obj.velocities, obj.weights[None, :]]).T
         return KIND_ENSEMBLE, (obj.count, 0, 0), (0.0, 0.0, 0.0), rec.astype("<f8", copy=False).tobytes()
-    raise ContractViolation(f"cannot snapshot object of type {type(obj).__name__}")
+    if isinstance(obj, MagnetizationField):
+        kind, values = KIND_MAGNETIZATION, np.concatenate([[obj.h_zeeman, obj.alpha], obj.m.ravel()])
+    elif isinstance(obj, VectorField3):
+        kind, values = KIND_VECTOR, obj.values
+    elif isinstance(obj, ScalarField):
+        kind, values = KIND_SCALAR, obj.values
+    else:
+        raise ContractViolation(f"cannot snapshot object of type {type(obj).__name__}")
+    return kind, obj.grid.n_cells, obj.grid.box_length, values.astype("<f8", copy=False).tobytes()
 
 
 def write_snapshot(obj, path, name: str = "", time: float = 0.0) -> None:
@@ -135,7 +125,10 @@ def read_snapshot(path) -> Snapshot:
         rec = data.reshape(d0, 7)
         obj = ParticleEnsemble(rec[:, 0:3].T, rec[:, 3:6].T, rec[:, 6])
         return Snapshot(name, time, obj)
-    grid = PeriodicGrid((d0, d1, d2), (b0, b1, b2))
+    try:
+        grid = PeriodicGrid((d0, d1, d2), (b0, b1, b2))
+    except ContractViolation as err:
+        raise SnapshotError(f"invalid grid in header of {path}: {err}") from err
     if kind == KIND_SCALAR:
         return Snapshot(name, time, ScalarField(grid, data.reshape(grid.shape)))
     if kind == KIND_VECTOR:

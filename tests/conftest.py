@@ -41,11 +41,14 @@ def random_unit_mf(grid, seed, amplitude=0.05, k_cut=1, h=0.5, alpha=0.1):
     return MagnetizationField(grid, random_smooth_unit(grid, seed, amplitude, k_cut), h, alpha)
 
 
-def rewrite_snapshot_d0(src, dst, d0):
-    """Copy a snapshot with its first header dim set to d0; the CRC covers only the payload."""
+def rewrite_snapshot_header(src, dst, dims=None, box=None):
+    """Copy a snapshot with new header dims and/or box lengths; the CRC covers only the payload."""
     raw = src.read_bytes()
     header = list(_HEADER.unpack(raw[: _HEADER.size]))
-    header[5] = d0
+    if dims is not None:
+        header[5:8] = dims
+    if box is not None:
+        header[8:11] = box
     dst.write_bytes(_HEADER.pack(*header) + raw[_HEADER.size :])
 
 

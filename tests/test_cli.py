@@ -10,7 +10,7 @@ from llgvm import PeriodicGrid, cli, selftest
 from llgvm.errors import BlowUpError
 from llgvm.maxwell import cfl_limit
 
-from conftest import rewrite_snapshot_d0
+from conftest import rewrite_snapshot_header
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -55,6 +55,14 @@ class TestRun:
         bad = tmp_path / "bad.cfg"
         bad.write_text("grid.n = 33\n")
         assert cli.main(["run", "--config", str(bad)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", ["llg.stabilizer_c = inf", "em.init_modes = 1,0,0,nan"])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(f"grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 0\nrun.n_steps = 1\n{line}\n")
+        code = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
 
     def test_unstable_dt_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "fast.cfg"
@@ -123,7 +131,8 @@ class TestDiag:
 
     def test_energy_on_inconsistent_header_is_a_runtime_error(self, finished_run, tmp_path, capsys):
         bad = tmp_path / "m_bad.snap"
-        rewrite_snapshot_d0(finished_run / "m_final.snap", bad, 6)  # the payload holds 48^3 nodes
+        # the payload holds 48^3 nodes
+        rewrite_snapshot_header(finished_run / "m_final.snap", bad, dims=(6, 48, 48))
         assert cli.main(["diag", "energy", str(bad)]) == cli.EXIT_RUNTIME
         assert "inconsistent header" in capsys.readouterr().err
 

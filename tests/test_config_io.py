@@ -1,5 +1,7 @@
 """Configuration parsing and binary snapshot round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,10 @@ from llgvm.config import SCHEMA, default_config, parse_config, parse_config_text
 from llgvm.errors import ConfigError, SnapshotError
 from llgvm.kinetic import ParticleEnsemble
 from llgvm.magnetization import MagnetizationField
+from llgvm.runner import parse_modes
 from llgvm.textures import hopfion, random_smooth_unit
 
-from conftest import BOX, band_limited_vector, rewrite_snapshot_d0
+from conftest import BOX, band_limited_vector, rewrite_snapshot_header
 
 
 class TestConfigParsing:
@@ -77,6 +80,27 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.cfg")
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("kinetic.f0.drift", "nan"),
+            ("kinetic.f0.v_thermal", "inf"),
+            ("kinetic.f0.center", "nan,1,1"),
+            ("llg.h", "nan"),
+            ("llg.init_amplitude", "nan"),
+            ("mollifier.epsilon", "inf"),
+            ("llg.stabilizer_c", "inf"),
+        ],
+    )
+    def test_non_finite_number_rejected_with_location(self, key, value):
+        with pytest.raises(ConfigError, match=f"<string>:2: bad value for {key}: not a finite number"):
+            parse_config_text(f"grid.n = 8\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("entry", ["1,0,0,nan", "1,0,0,-inf", "0,0,0,1.0"])
+    def test_bad_em_mode_rejected(self, entry):
+        with pytest.raises(ConfigError, match="bad em.init_modes entry"):
+            parse_modes(f"0,1,1,0.5; {entry}")
 
     def test_every_schema_key_parses_its_default(self):
         # defaults in the schema must satisfy the range checks themselves
@@ -144,7 +168,7 @@ class TestSnapshots:
         p = ParticleEnsemble(rng.random((3, 5)), rng.random((3, 5)), rng.random(5))
         path = tmp_path / "p5.snap"
         write_snapshot(p, path)
-        rewrite_snapshot_d0(path, path, 4)  # 4 particles over 35 doubles
+        rewrite_snapshot_header(path, path, dims=(4, 0, 0))  # 4 particles over 35 doubles
         with pytest.raises(SnapshotError, match="inconsistent header"):
             read_snapshot(path)
 
@@ -152,8 +176,49 @@ class TestSnapshots:
         mf = MagnetizationField(grid16, random_smooth_unit(grid16, 5), 0.5, 0.1)
         path = tmp_path / "m.snap"
         write_snapshot(mf, path, "m")
-        rewrite_snapshot_d0(path, path, 6)
+        rewrite_snapshot_header(path, path, dims=(6, 16, 16))
         with pytest.raises(SnapshotError, match="inconsistent header") as err:
+            read_snapshot(path)
+        assert str(path) in str(err.value)
+
+    def test_payload_layout_matches_struct(self):
+        grid = PeriodicGrid((4, 6, 8), (4.0, 5.0, 6.0))
+        vec = band_limited_vector(grid, 205)
+        scalar = vec.component(0)
+        mf = MagnetizationField(grid, random_smooth_unit(grid, 6, 0.3, 2), 0.5, 0.1)
+        rng = np.random.default_rng(7)
+        p = ParticleEnsemble(rng.random((3, 5)), rng.standard_normal((3, 5)), rng.random(5))
+
+        def doubles(values):
+            flat = [float(x) for x in np.ravel(values)]
+            return struct.pack(f"<{len(flat)}d", *flat)
+
+        cases = [
+            (scalar, snapshots.KIND_SCALAR, doubles(scalar.values)),
+            (vec, snapshots.KIND_VECTOR, doubles(vec.values)),
+            (mf, snapshots.KIND_MAGNETIZATION, struct.pack("<2d", mf.h_zeeman, mf.alpha) + doubles(mf.m)),
+        ]
+        for obj, kind, payload in cases:
+            assert snapshots._payload_bytes(obj) == (kind, grid.n_cells, grid.box_length, payload)
+        records = b"".join(
+            struct.pack("<7d", *p.positions[:, i], *p.velocities[:, i], p.weights[i]) for i in range(5)
+        )
+        assert snapshots._payload_bytes(p) == (snapshots.KIND_ENSEMBLE, (5, 0, 0), (0.0, 0.0, 0.0), records)
+
+    def test_header_dims_not_a_grid(self, tmp_path):
+        grid = PeriodicGrid((4, 16, 8), (BOX, BOX, BOX))
+        path = tmp_path / "d.snap"
+        write_snapshot(ScalarField.zeros(grid), path, "rho")
+        rewrite_snapshot_header(path, path, dims=(2, 16, 16))  # still 512 nodes
+        with pytest.raises(SnapshotError, match="invalid grid") as err:
+            read_snapshot(path)
+        assert str(path) in str(err.value)
+
+    def test_header_box_length_not_positive(self, grid16, tmp_path):
+        path = tmp_path / "b.snap"
+        write_snapshot(band_limited_vector(grid16, 206), path, "E")
+        rewrite_snapshot_header(path, path, box=(-8.0, BOX, BOX))
+        with pytest.raises(SnapshotError, match="invalid grid") as err:
             read_snapshot(path)
         assert str(path) in str(err.value)
 

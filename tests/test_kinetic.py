@@ -237,6 +237,23 @@ class TestLorentzPush:
         assert np.abs(speeds - 1.0).max() < 1e-14
 
 
+    def test_rodrigues_zero_angle_columns_unchanged(self):
+        # a rotation vector whose angle underflows to 0 rotates nothing, like a zero one;
+        # a rotating column matches the textbook formula written with np.cross
+        v = np.random.default_rng(5).standard_normal((3, 4))
+        rotvec = np.zeros((3, 4))
+        rotvec[:, 1] = 1e-163
+        rotvec[0, 2] = -1e-200
+        rotvec[:, 3] = (0.3, -0.5, 0.2)
+        out = _rodrigues_rotate(v, rotvec)
+        assert np.array_equal(out[:, :3], v[:, :3])
+        assert np.array_equal(_rodrigues_rotate(v, np.zeros((3, 4))), v)
+        angle = np.linalg.norm(rotvec[:, 3])
+        u, w = rotvec[:, 3] / angle, v[:, 3]
+        ref = w * np.cos(angle) + np.cross(u, w) * np.sin(angle) + u * np.dot(u, w) * (1.0 - np.cos(angle))
+        assert np.allclose(out[:, 3], ref, rtol=0.0, atol=1e-15)
+
+
 class TestDeposit:
     def test_particle_on_node(self, grid16):
         h = grid16.spacing[0]

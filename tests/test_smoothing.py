@@ -36,6 +36,21 @@ class TestKernel:
         outside = d2 >= mol16.epsilon**2
         assert np.abs(mol16.kernel.values[outside]).max() == 0.0
 
+    def test_kernel_matches_per_axis_loop(self):
+        grid = PeriodicGrid((8, 12, 16), (8.0, 9.0, 10.0))
+        eps = 2.5
+        r2 = np.zeros(grid.shape)
+        for axis in range(3):
+            x = grid.axis_coords(axis)
+            shape = [1, 1, 1]
+            shape[axis] = -1
+            r2 = r2 + (np.minimum(x, grid.box_length[axis] - x) ** 2).reshape(shape)
+        r2 = r2 / eps**2
+        vals = np.zeros(grid.shape)
+        vals[r2 < 1.0] = np.exp(-1.0 / (1.0 - r2[r2 < 1.0]))
+        vals /= vals.sum() * grid.cell_volume
+        assert np.array_equal(Mollifier.build(grid, eps).kernel.values, vals)
+
     def test_rejects_nonpositive_radius(self, grid16):
         with pytest.raises(ContractViolation):
             Mollifier.build(grid16, 0.0)
