@@ -66,6 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         cfg.values["run.seed"] = args.seed
         cfg.values["kinetic.seed"] = args.seed
     if args.threads < 1:

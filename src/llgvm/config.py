@@ -149,6 +149,9 @@ def _range_checks(values: dict, errors: list[str], warnings: list[str]):
     check(values["run.dt"] > 0.0, "run.dt must be positive")
     check(values["run.n_steps"] >= 0, "run.n_steps must be >= 0")
     check(values["run.snapshot_every"] >= 0, "run.snapshot_every must be >= 0")
+    for key in ("run.seed", "kinetic.seed"):
+        if values[key] is not None:
+            check(values[key] >= 0, f"{key} = {values[key]}: seeds must be >= 0")
     if values["llg.stabilizer_c"] is not None:
         lam = values["llg.alpha"] / (1.0 + values["llg.alpha"] ** 2)
         check(

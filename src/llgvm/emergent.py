@@ -7,8 +7,11 @@ the emergent electric field:
     b_i = 1/2 eps_ijk  m . (d_j m x d_k m),      e_i = m . (d_i m x dt m).
 
 Both are gauge-free and satisfy div b = 0 and dt b + curl e = 0 identically
-for smooth evolutions.  Spatial derivatives are spectral; dt m is the
-discrete two-level difference, with m evaluated at the renormalized midpoint.
+for smooth evolutions.  Spatial derivatives are the spectral partials cached on
+each state; dt m is the two-level difference, and m is taken at the renormalized
+midpoint m_mid = u/|u|, u = m_prev + m_next.  As d_i m_mid is d_i u/|u| less a
+part along m_mid, which drops out of the triple product, the chain rule gives
+e_i = m_mid . (d_i u x dt m)/|u|, exact in the continuum.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ContractViolation
-from .grid import VectorField3, _cross, _fft, _partials
+from .grid import VectorField3, _cross
 from .magnetization import MagnetizationField
 
 
@@ -41,24 +44,24 @@ def compute_b(mf: MagnetizationField) -> VectorField3:
 
 
 def compute_e(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: float) -> VectorField3:
-    """Emergent electric field at the midpoint time between two magnetization states."""
+    """Emergent electric field at the midpoint time, read from both states' cached partials."""
     if mf_prev.grid != mf_next.grid:
         raise ContractViolation("magnetization states live on different grids")
     if dt <= 0.0:
         raise ContractViolation("dt must be positive")
-    g = mf_prev.grid
     total = mf_prev.m + mf_next.m
-    norms = np.sqrt(np.sum(total**2, axis=0))
-    low = float(norms.min())
+    norms2 = np.sum(total**2, axis=0)
+    low = float(np.sqrt(norms2.min()))
     if low < 0.5:
         raise BlowUpError(
             f"antipodal magnetization motion (|m_prev + m_next| = {low:.3e} < 0.5);"
             " the time step is too large for the field motion"
         )
-    m_mid = total / norms
+    total /= norms2  # u/|u|^2 = m_mid/|u|, the chain-rule factor
     dm_dt = (mf_next.m - mf_prev.m) / dt
-    dm = _partials(g, _fft(m_mid))
-    return VectorField3(g, _triple_products(m_mid, [(d, dm_dt) for d in dm]))
+    du = np.empty_like(total)  # holds each d_i u until the next one overwrites it
+    pairs = ((np.add(a, b, out=du), dm_dt) for a, b in zip(mf_prev.gradient, mf_next.gradient))
+    return VectorField3(mf_prev.grid, _triple_products(total, pairs))
 
 
 @dataclass(frozen=True, eq=False)

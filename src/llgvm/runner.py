@@ -79,6 +79,8 @@ def parse_modes(text: str) -> tuple[EMMode, ...]:
             raise ConfigError(f"bad em.init_modes entry {chunk!r}: {err}") from err
         if n == (0, 0, 0):
             raise ConfigError(f"bad em.init_modes entry {chunk!r}: zero wavevector")
+        if pol not in (0, 1):
+            raise ConfigError(f"bad em.init_modes entry {chunk!r}: polarization must be 0 or 1")
         modes.append(EMMode(n, amp, pol))
     return tuple(modes)
 

@@ -64,6 +64,18 @@ class TestRun:
         assert code == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, extra",
+        [("", ["--seed", "-3"]), ("run.seed = -1", []), ("kinetic.seed = -1", [])],
+        ids=["--seed", "run.seed", "kinetic.seed"],
+    )
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, line, extra):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 10\nrun.n_steps = 1\n{line}\n")
+        code = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out"), *extra])
+        assert code == cli.EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+
     def test_unstable_dt_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "fast.cfg"
         cfg.write_text("grid.n = 16\nrun.dt = 1.0\nkinetic.n_particles = 0\n")

@@ -97,10 +97,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"<string>:2: bad value for {key}: not a finite number"):
             parse_config_text(f"grid.n = 8\n{key} = {value}\n")
 
-    @pytest.mark.parametrize("entry", ["1,0,0,nan", "1,0,0,-inf", "0,0,0,1.0"])
+    @pytest.mark.parametrize("entry", ["1,0,0,nan", "1,0,0,-inf", "0,0,0,1.0", "1,0,0,0.1,2", "1,1,0,0.1,7"])
     def test_bad_em_mode_rejected(self, entry):
         with pytest.raises(ConfigError, match="bad em.init_modes entry"):
             parse_modes(f"0,1,1,0.5; {entry}")
+
+    @pytest.mark.parametrize("key", ["run.seed", "kinetic.seed"])
+    def test_negative_seed_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"{key} = -1: seeds must be >= 0"):
+            parse_config_text(f"grid.n = 8\n{key} = -1\n")
 
     def test_every_schema_key_parses_its_default(self):
         # defaults in the schema must satisfy the range checks themselves

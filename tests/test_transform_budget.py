@@ -5,7 +5,8 @@ and an inverse is one in-place ifftn over x and y, on a complex half
 spectrum, plus one irfft over z.  The spectrum and partials of m are taken
 once per state, and nothing transforms a field known to be zero.  The
 LLG rate takes one inverse transform, of (k^4 - k^2) m_hat, the helicity is a
-Parseval sum that takes none, and no cross product goes through np.cross.  The
+Parseval sum that takes none, compute_e takes none either (it reads both
+states' cached partials), and no cross product goes through np.cross.  The
 particles of a state are deposited once, and the ledger reuses that charge.
 A step builds two CIC stencils, one for the gather at the half-step
 positions and one for the deposit at the new ones, and an ensemble kept in
@@ -81,9 +82,9 @@ def _step_and_row(monkeypatch, cfg_text):
     [
         # at 16^3 the hopfion is not localized to 1e-6 on the box faces, so
         # the Hopf column is nan and costs no transform
-        (HOPFION16, 3, 8, False),
-        (HOPFION48, 4, 8, True),
-        (COUPLED16, 7, 12, False),
+        (HOPFION16, 2, 5, False),
+        (HOPFION48, 3, 5, True),
+        (COUPLED16, 6, 9, False),
     ],
     ids=["hopfion16", "hopfion48", "coupled16"],
 )
