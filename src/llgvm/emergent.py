@@ -47,8 +47,8 @@ def compute_e(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: floa
     """Emergent electric field at the midpoint time, read from both states' cached partials."""
     if mf_prev.grid != mf_next.grid:
         raise ContractViolation("magnetization states live on different grids")
-    if dt <= 0.0:
-        raise ContractViolation("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ContractViolation("dt must be positive and finite")
     total = mf_prev.m + mf_next.m
     norms2 = np.sum(total**2, axis=0)
     low = float(np.sqrt(norms2.min()))

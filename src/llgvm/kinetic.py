@@ -4,7 +4,11 @@ Particles carry fixed weights (pure transport), so total mass and any
 weight-histogram statistic are conserved structurally.  The velocity update
 is a Boris-type split with an exact Rodrigues rotation for the magnetic
 half, embedded in a drift-kick-drift step: it conserves speed exactly in a
-pure magnetic field and preserves phase-space volume.  Gather and deposit
+pure magnetic field and preserves phase-space volume.  Its arithmetic is per
+particle, so the push runs over fixed-size contiguous slices of the ensemble,
+bitwise equal to one pass over all of it, with stencils of a few MB at any n;
+its periodic wrap adds or subtracts the box length once where that suffices
+and is bitwise equal to np.remainder for every float64.  Gather and deposit
 share the trilinear cloud-in-cell kernel, and one stencil serves every field
 gathered at the same positions; it wraps node indices, so any position is
 accepted.  The ensemble is stored as (3, n) rows, like every field.  A deposit
@@ -32,6 +36,7 @@ from .grid import PeriodicGrid, ScalarField, VectorField3, _cross
 CHARGE = -1.0
 VELOCITY_CUTOFF_SIGMAS = 6.0
 SPATIAL_CUTOFF_SIGMAS = 4.0
+_PUSH_CHUNK = 1 << 15  # particles per slice of the push; its stencils stay a few MB
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,39 +251,58 @@ def _rodrigues_rotate(v: np.ndarray, rotvec: np.ndarray) -> np.ndarray:
     return out
 
 
+def _wrap(x: np.ndarray, box: Sequence[float]) -> None:
+    """x %= box in place for (3, n) rows, bitwise equal to np.remainder.
+
+    A row inside [-L, 2L) takes L off where x >= L (exact, by Sterbenz's
+    lemma), then adds L where x < 0 (rounding as np.remainder does, so
+    -1e-17 + L is L); a zero left is +0.0 or an input -0.0, which adding
+    +0.0 makes +0.0.  Any other row, NaN or inf included, takes np.remainder.
+    """
+    for row, length in zip(x, box):
+        if not (-length <= row.min() and row.max() < 2.0 * length):
+            np.remainder(row, length, out=row)
+            continue
+        np.subtract(row, length, out=row, where=row >= length)
+        np.add(row, length, out=row, where=row < 0.0)
+        if row.min() == 0.0:
+            row += 0.0
+
+
 def lorentz_push(
     p: ParticleEnsemble, E_tot: VectorField3, B_tot: VectorField3, dt: float
 ) -> ParticleEnsemble:
-    """Drift / Boris-rotation kick / drift with charge q = -1 and periodic wrap."""
-    if dt <= 0.0:
-        raise ContractViolation("dt must be positive")
+    """Drift / Boris-rotation kick / drift (q = -1, periodic wrap) over slices of _PUSH_CHUNK."""
+    if not 0.0 < dt < np.inf:
+        raise ContractViolation("dt must be positive and finite")
     if E_tot.grid != B_tot.grid:
         raise ContractViolation("field grids differ")
     if p.count == 0:
         return p
-    grid = E_tot.grid
-    box = np.asarray(grid.box_length)[:, None]
-    # x is x_half, then x_new, and v is v_minus, then v_plus, then v_new
-    x = p.positions + 0.5 * dt * p.velocities
-    x %= box
-    e_p, b_p = gather((E_tot, B_tot), x)
-    if not (np.all(np.isfinite(e_p)) and np.all(np.isfinite(b_p))):
-        raise BlowUpError("NaN in gathered fields")
-    b_max = float(np.sqrt(b_p[0] * b_p[0] + b_p[1] * b_p[1] + b_p[2] * b_p[2]).max(initial=0.0))
+    box = E_tot.grid.box_length
+    x_new, v_new = np.empty_like(p.positions), np.empty_like(p.velocities)
+    b_max = 0.0
+    for start in range(0, p.count, _PUSH_CHUNK):
+        cols = slice(start, start + _PUSH_CHUNK)
+        x, v = x_new[:, cols], v_new[:, cols]  # x is x_half, then x_new
+        np.add(p.positions[:, cols], 0.5 * dt * p.velocities[:, cols], out=x)
+        _wrap(x, box)
+        e_p, b_p = gather((E_tot, B_tot), x)
+        if not (np.all(np.isfinite(e_p)) and np.all(np.isfinite(b_p))):
+            raise BlowUpError("NaN in gathered fields")
+        b_max = max(b_max, float(np.sqrt(b_p[0] * b_p[0] + b_p[1] * b_p[1] + b_p[2] * b_p[2]).max()))
+        half_kick = 0.5 * dt * CHARGE * e_p
+        b_p *= -CHARGE * dt  # the rotation vectors
+        np.add(_rodrigues_rotate(p.velocities[:, cols] + half_kick, b_p), half_kick, out=v)
+        x += 0.5 * dt * v
+        _wrap(x, box)
     if dt * b_max > 1.0:
         warnings.warn(
             f"dt * |B|_max = {dt * b_max:.3g} > 1: gyration is under-resolved",
             RuntimeWarning,
             stacklevel=2,
         )
-    half_kick = 0.5 * dt * CHARGE * e_p
-    v = p.velocities + half_kick
-    b_p *= -CHARGE * dt  # the rotation vectors
-    v = _rodrigues_rotate(v, b_p)
-    v += half_kick
-    x += 0.5 * dt * v
-    x %= box
-    return ParticleEnsemble(x, v, p.weights)
+    return ParticleEnsemble(x_new, v_new, p.weights)
 
 
 def _canonical_order(p: ParticleEnsemble) -> np.ndarray | None:

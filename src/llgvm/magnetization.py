@@ -202,8 +202,8 @@ def step(
     coeffs: LLCoefficients,
 ) -> MagnetizationField:
     """One IMEX step followed by exact node-wise renormalization."""
-    if dt <= 0.0:
-        raise ContractViolation("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ContractViolation("dt must be positive and finite")
     stable = dt_max(mf.grid, mf.alpha, mf.h_zeeman, coeffs)
     if dt > stable:
         raise TimeStepError(

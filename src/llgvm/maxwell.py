@@ -162,8 +162,8 @@ def step_fields(em: EMFieldPair, j_mollified: VectorField3 | None, dt: float) ->
     The stored B is interpreted at t - dt/2.  The source is the mollified
     node-collocated current; it is averaged onto edges here.
     """
-    if dt <= 0.0:
-        raise ContractViolation("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ContractViolation("dt must be positive and finite")
     limit = cfl_limit(em.grid, em.eps_r, em.mu_r)
     if dt >= limit:
         raise TimeStepError(f"dt = {dt:.3e} violates the staggered CFL bound {limit:.3e}")

@@ -164,6 +164,12 @@ class TestComputeE:
         with pytest.raises(ContractViolation):
             compute_e(a, b, 1e-3)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, grid16, dt):
+        mf = random_unit_mf(grid16, 1)
+        with pytest.raises(ContractViolation, match="dt must be positive and finite"):
+            compute_e(mf, mf, dt)
+
 
 class TestFaraday:
     def test_residual_decreases_with_dt(self, grid32):

@@ -1,5 +1,6 @@
 """Particle sampling, the Boris-type push, deposition, and velocity moments."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,11 @@ from llgvm import (
 )
 from llgvm.errors import BlowUpError, ConfigError, ContractViolation
 from llgvm.kinetic import (
+    _PUSH_CHUNK,
+    CHARGE,
     ParticleEnsemble,
     _rodrigues_rotate,
+    _wrap,
     analytic_m2,
     canonical,
     lp_norm_of_field,
@@ -36,6 +40,28 @@ from llgvm.selftest import speed_drift
 from conftest import BOX, band_limited_vector
 
 CENTER = (BOX / 2, BOX / 2, BOX / 2)
+NON_CUBIC = (BOX, 7.3, 0.37)
+
+
+def bits(a):
+    """The int64 view of a float64 array: equal bits, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def reference_push(p, e_tot, b_tot, dt):
+    """The push as one pass over the whole ensemble, wrapping with %."""
+    box = np.asarray(e_tot.grid.box_length)[:, None]
+    x = p.positions + 0.5 * dt * p.velocities
+    x %= box
+    e_p, b_p = gather((e_tot, b_tot), x)
+    half_kick = 0.5 * dt * CHARGE * e_p
+    v = p.velocities + half_kick
+    b_p *= -CHARGE * dt
+    v = _rodrigues_rotate(v, b_p)
+    v += half_kick
+    x += 0.5 * dt * v
+    x %= box
+    return x, v
 
 
 class TestSampling:
@@ -211,6 +237,13 @@ class TestLorentzPush:
         with pytest.warns(RuntimeWarning):
             lorentz_push(p, VectorField3.zeros(grid16), bfield, 0.1)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, grid16, dt):
+        p = sample_initial(UniformMaxwellian(0.4), 8, 1, grid16)
+        efield = VectorField3.zeros(grid16)
+        with pytest.raises(ContractViolation, match="dt must be positive and finite"):
+            lorentz_push(p, efield, efield, dt)
+
     def test_nan_fields_abort(self, grid16):
         h = grid16.spacing[0]
         p = ParticleEnsemble([[0.4 * h], [0.3 * h], [0.2 * h]], np.zeros((3, 1)), [1.0])
@@ -252,6 +285,94 @@ class TestLorentzPush:
         u, w = rotvec[:, 3] / angle, v[:, 3]
         ref = w * np.cos(angle) + np.cross(u, w) * np.sin(angle) + u * np.dot(u, w) * (1.0 - np.cos(angle))
         assert np.allclose(out[:, 3], ref, rtol=0.0, atol=1e-15)
+
+
+class TestWrap:
+    @staticmethod
+    def check(rows, box):
+        """_wrap of (3, m) rows is bitwise x % box."""
+        x = np.array(rows, dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            ref = x % np.asarray(box)[:, None]
+            _wrap(x, box)
+        assert np.array_equal(bits(x), bits(ref))
+
+    @staticmethod
+    def edges(length):
+        return [
+            -0.0, 0.0, length, -length, np.nextafter(length, 0.0), np.nextafter(-length, 0.0),
+            np.nextafter(2.0 * length, 0.0), 2.0 * length - 1e-15, -1e-17, -1e-300,
+        ]
+
+    def test_edge_values_one_at_a_time(self):
+        # alone, each value in [-L, 2L) takes the add-or-subtract path
+        for column in zip(*(self.edges(length) for length in NON_CUBIC)):
+            self.check(np.array(column)[:, None], NON_CUBIC)
+
+    def test_edge_values_together(self):
+        self.check([self.edges(length) for length in NON_CUBIC], NON_CUBIC)
+
+    # one value outside [-L, 2L) sends its row through np.remainder
+    @pytest.mark.parametrize("multiple", [5.0, -5.0])
+    def test_multiples_of_the_box(self, multiple):
+        self.check([self.edges(length) + [multiple * length] for length in NON_CUBIC], NON_CUBIC)
+
+    @pytest.mark.parametrize("far", [1e300, -1e300, np.inf, -np.inf, np.nan])
+    def test_huge_and_non_finite_values(self, far):
+        self.check([self.edges(length) + [far] for length in NON_CUBIC], NON_CUBIC)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    def test_uniform_draws(self, scale):
+        box = tuple(scale * length for length in NON_CUBIC)
+        rng = np.random.default_rng(8)
+        self.check([rng.uniform(-length, 2.0 * length, 5000) for length in box], box)
+
+
+class TestChunkedPush:
+    @pytest.mark.parametrize(
+        "n", [1, _PUSH_CHUNK - 1, _PUSH_CHUNK, _PUSH_CHUNK + 1, 2 * _PUSH_CHUNK + 3]
+    )
+    def test_bitwise_equal_to_one_pass(self, grid16, n):
+        p = sample_initial(TwoStream(0.8, 0.3), n, 11, grid16)
+        efield = band_limited_vector(grid16, 3, k_cut=2, amplitude=0.3)
+        bfield = band_limited_vector(grid16, 4, k_cut=2, amplitude=0.3)
+        dt = 0.7  # many particles cross a box face
+        x, v = reference_push(p, efield, bfield, dt)
+        pushed = lorentz_push(p, efield, bfield, dt)
+        assert np.array_equal(bits(pushed.positions), bits(x))
+        assert np.array_equal(bits(pushed.velocities), bits(v))
+        assert pushed.weights is p.weights
+
+    @staticmethod
+    def last_chunk_apart(grid, extra=5):
+        """_PUSH_CHUNK resting particles at x < L/4, then `extra` at x in [L/2, 0.7 L]."""
+        n = _PUSH_CHUNK + extra
+        pos = np.random.default_rng(12).random((3, n)) * np.asarray(grid.box_length)[:, None]
+        pos[0, :_PUSH_CHUNK] *= 0.25
+        pos[0, _PUSH_CHUNK:] = grid.box_length[0] * np.linspace(0.5, 0.7, extra)
+        return ParticleEnsemble(pos, np.zeros((3, n)), np.full(n, 1.0 / n))
+
+    def test_one_warning_when_only_the_last_chunk_is_under_resolved(self, grid16):
+        p = self.last_chunk_apart(grid16)
+        bvals = np.zeros((3, *grid16.shape))
+        bvals[2, grid16.n_cells[0] // 2 - 2 :] = 30.0  # reaches no node of the first chunk
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lorentz_push(p, VectorField3.zeros(grid16), VectorField3(grid16, bvals), 0.1)
+        assert [w.category for w in caught] == [RuntimeWarning]
+
+    def test_inf_in_the_last_chunk_aborts_without_a_warning(self, grid16):
+        p = self.last_chunk_apart(grid16)
+        evals = np.zeros((3, *grid16.shape))
+        evals[0, grid16.n_cells[0] // 2 + 2 :] = np.inf  # reaches no node of the first chunk
+        bfield = VectorField3.constant(grid16, (0.0, 0.0, 30.0))  # every chunk under-resolved
+        efield = VectorField3.zeros(grid16)
+        object.__setattr__(efield, "values", evals)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BlowUpError):
+                lorentz_push(p, efield, bfield, 0.1)
+        assert caught == []
 
 
 class TestDeposit:

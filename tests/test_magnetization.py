@@ -291,6 +291,13 @@ class TestStep:
         with pytest.raises(ContractViolation):
             step(mf, None, -1e-5, coeffs)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, grid16, dt):
+        # nan fails every comparison with the stable bound, and inf passes an infinite one
+        coeffs = LLCoefficients.from_alpha(ALPHA, stabilizer_c=6.0)
+        with pytest.raises(ContractViolation, match="dt must be positive and finite"):
+            step(uniform_mf(grid16), None, dt, coeffs)
+
     def test_renormalization_blow_up(self):
         vals = np.zeros((3, 2, 2, 2))
         vals[2] = 0.1

@@ -113,6 +113,11 @@ class TestInitCompatible:
 
 
 class TestStepFields:
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, grid16, dt):
+        with pytest.raises(ContractViolation, match="dt must be positive and finite"):
+            step_fields(EMFieldPair.zeros(grid16), None, dt)
+
     def test_zero_state_stays_zero(self, grid16):
         em = EMFieldPair.zeros(grid16)
         em = step_fields(em, None, 0.5 * cfl_limit(grid16, 1.0, 1.0))
