@@ -12,13 +12,16 @@ and is bitwise equal to np.remainder for every float64.  Gather and deposit
 share the trilinear cloud-in-cell kernel, and one stencil serves every field
 gathered at the same positions; it wraps node indices, so any position is
 accepted.  The ensemble is stored as (3, n) rows, like every field.  A deposit
-puts the particles in a canonical order, by x as stored alone or, where two x
-values are equal, by the full key (x, y, z, vx, vy, vz, w), and sums each
-node's corner terms one after another in that order, so results are
-independent of particle order and thread count.  A simulation state stores
-its ensemble in that canonical order after every push (see canonical): the
-sort after the next push meets nearly sorted data, and the deposit, finding
-the ensemble sorted, skips its sort.
+puts the particles in a canonical order once, by x as stored alone or, where
+two x values are equal, by the full key (x, y, z, vx, vy, vz, w), then builds
+the stencil of one slice of that order at a time, so it too works in
+chunk-sized memory.  Each node adds its terms (wgt * q) / h^3 one after
+another (np.add.at), particle by particle in canonical order and corner by
+corner within a particle, so results are independent of particle order, of
+the slice size and of thread count.  A simulation state stores its ensemble
+in that canonical order after every push (see canonical): the sort after the
+next push meets nearly sorted data, and the deposit, finding the ensemble
+sorted, skips its sort.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .grid import PeriodicGrid, ScalarField, VectorField3, _cross
 CHARGE = -1.0
 VELOCITY_CUTOFF_SIGMAS = 6.0
 SPATIAL_CUTOFF_SIGMAS = 4.0
-_PUSH_CHUNK = 1 << 15  # particles per slice of the push; its stencils stay a few MB
+_CHUNK = 1 << 13  # particles per slice of the push and the deposit; their stencils stay chunk-sized
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +275,7 @@ def _wrap(x: np.ndarray, box: Sequence[float]) -> None:
 def lorentz_push(
     p: ParticleEnsemble, E_tot: VectorField3, B_tot: VectorField3, dt: float
 ) -> ParticleEnsemble:
-    """Drift / Boris-rotation kick / drift (q = -1, periodic wrap) over slices of _PUSH_CHUNK."""
+    """Drift / Boris-rotation kick / drift (q = -1, periodic wrap) over slices of _CHUNK."""
     if not 0.0 < dt < np.inf:
         raise ContractViolation("dt must be positive and finite")
     if E_tot.grid != B_tot.grid:
@@ -282,8 +285,8 @@ def lorentz_push(
     box = E_tot.grid.box_length
     x_new, v_new = np.empty_like(p.positions), np.empty_like(p.velocities)
     b_max = 0.0
-    for start in range(0, p.count, _PUSH_CHUNK):
-        cols = slice(start, start + _PUSH_CHUNK)
+    for start in range(0, p.count, _CHUNK):
+        cols = slice(start, start + _CHUNK)
         x, v = x_new[:, cols], v_new[:, cols]  # x is x_half, then x_new
         np.add(p.positions[:, cols], 0.5 * dt * p.velocities[:, cols], out=x)
         _wrap(x, box)
@@ -331,60 +334,59 @@ def canonical(p: ParticleEnsemble) -> ParticleEnsemble:
     )
 
 
-class _DepositPlan:
-    """Canonically ordered CIC corner data shared by all densities of one ensemble.
+def _deposit(p: ParticleEnsemble, grid: PeriodicGrid, rows) -> np.ndarray:
+    """Densities sum q S / h^3, one per row q of rows(v, w) for a slice's (3, m) v, (m,) w.
 
-    Particles are sorted by x as stored with one stable argsort.  Where two
-    x values are equal that order is not unique, and the full key (x, y, z,
-    vx, vy, vz, w) sorts them lexicographically instead; without ties both
-    give the same order.  The corner entries are laid out corner-major in
-    that order and each node sums its entries one after another, so the
-    per-node summation order does not depend on how the ensemble array
-    happened to be ordered.  Positions are not wrapped here: the stencil
-    wraps node indices.  A simulation state stores its ensemble in canonical
-    order (see canonical); for such an ensemble the plan skips the sort and
-    both permutations.
+    The ensemble is put in canonical order once, only if it is not in it, and
+    then taken in contiguous slices of _CHUNK.  Each node adds its terms in the
+    order the module docstring states, whatever the slice size.
     """
-
-    def __init__(self, p: ParticleEnsemble, grid: PeriodicGrid):
-        self.grid = grid
-        self.particle_order = _canonical_order(p)
-        pos = p.positions
-        if self.particle_order is not None:
-            pos = np.take(pos, self.particle_order, axis=1)
-        idx, self.wgt = _cic_corners(grid, pos)
-        self.idx = idx.reshape(-1)
-
-    def accumulate(self, per_particle: np.ndarray) -> np.ndarray:
-        """per_particle is in the caller's original particle order."""
-        if self.particle_order is not None:
-            per_particle = per_particle[self.particle_order]
-        contrib = self.wgt * per_particle
-        contrib /= self.grid.cell_volume
-        out = np.bincount(self.idx, weights=contrib.reshape(-1), minlength=self.grid.n_nodes)
-        return out.reshape(self.grid.shape)
+    pos, vel, w = p.positions, p.velocities, p.weights
+    order = _canonical_order(p)
+    if order is not None:
+        pos, vel, w = np.take(pos, order, axis=1), np.take(vel, order, axis=1), w[order]
+    out = None
+    for start in range(0, p.count, _CHUNK):
+        cols = slice(start, start + _CHUNK)
+        idx, wgt = _cic_corners(grid, pos[:, cols])
+        idx = idx.T.ravel()  # particle-major
+        wgt = np.ascontiguousarray(wgt.T)
+        qs = rows(vel[:, cols], w[cols])
+        if out is None:
+            out = np.zeros((len(qs), grid.n_nodes))
+        contrib = np.empty_like(wgt)
+        for q, acc in zip(qs, out):
+            np.multiply(wgt, q[:, None], out=contrib)
+            contrib /= grid.cell_volume
+            np.add.at(acc, idx, contrib.reshape(-1))
+    return out.reshape(-1, *grid.shape)
 
 
 def deposit(p: ParticleEnsemble, grid: PeriodicGrid) -> tuple[ScalarField, VectorField3]:
     """Charge and current densities rho = -sum w S / h^3, j = -sum w v S / h^3."""
     if p.count == 0:
         return ScalarField.zeros(grid), VectorField3.zeros(grid)
-    plan = _DepositPlan(p, grid)
-    rho = ScalarField(grid, CHARGE * plan.accumulate(p.weights))
-    jvals = np.stack(
-        [CHARGE * plan.accumulate(p.weights * v) for v in p.velocities]
-    )
-    return rho, VectorField3(grid, jvals)
+    out = _deposit(p, grid, lambda v, w: (w, *(w * v)))
+    out *= CHARGE
+    return ScalarField(grid, out[0]), VectorField3(grid, out[1:])
+
+
+def _check_moment_order(order: float) -> None:
+    if not 0.0 <= order < np.inf:
+        raise ContractViolation(f"moment order must be >= 0 and finite, got {order}")
+
+
+def _moment_weights(velocities: np.ndarray, weights: np.ndarray, order: float) -> np.ndarray:
+    """w |v|^k per particle."""
+    return weights * np.sqrt(np.sum(velocities**2, axis=0)) ** order
 
 
 def deposit_moment(p: ParticleEnsemble, grid: PeriodicGrid, order: float) -> ScalarField:
     """Moment density of f itself (no charge sign): sum w |v|^k S / h^3."""
-    if order < 0:
-        raise ContractViolation("moment order must be >= 0")
+    _check_moment_order(order)
     if p.count == 0:
         return ScalarField.zeros(grid)
-    speed = np.sqrt(np.sum(p.velocities**2, axis=0))
-    return ScalarField(grid, _DepositPlan(p, grid).accumulate(p.weights * speed**order))
+    return ScalarField(grid, _deposit(p, grid, lambda v, w: (_moment_weights(v, w, order),))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +395,10 @@ def deposit_moment(p: ParticleEnsemble, grid: PeriodicGrid, order: float) -> Sca
 
 def moment_exponent(k: float, k_prime: float, p: float) -> float:
     """The Lebesgue exponent ell = (k + 3/q) / (k' + 3/q + (k - k')/p), 1/p + 1/q = 1."""
-    if k_prime > k or k_prime < 0:
-        raise ContractViolation("need 0 <= k' <= k")
-    if p <= 1.0:
-        raise ContractViolation("need p > 1")
+    if not 0.0 <= k_prime <= k < np.inf:
+        raise ContractViolation(f"need 0 <= k' <= k < inf, got k={k}, k'={k_prime}")
+    if not 1.0 < p < np.inf:
+        raise ContractViolation(f"need 1 < p < inf, got p={p}")
     three_over_q = 3.0 * (p - 1.0) / p
     return (k + three_over_q) / (k_prime + three_over_q + (k - k_prime) / p)
 
@@ -414,8 +416,8 @@ def lp_norm_of_field(field: ScalarField, ell: float) -> float:
 
 def total_moment(p: ParticleEnsemble, order: float) -> float:
     """M_k = sum_p w_p |v_p|^k."""
-    speed = np.sqrt(np.sum(p.velocities**2, axis=0))
-    return float(np.sum(p.weights * speed**order))
+    _check_moment_order(order)
+    return float(np.sum(_moment_weights(p.velocities, p.weights, order)))
 
 
 @dataclass(frozen=True)
@@ -445,8 +447,6 @@ def moment_report(
     totals = {float(k): total_moment(p, k) for k in k_list}
     estimates = {}
     for (k, kp, q_p) in lp_checks:
-        if kp > k:
-            raise ContractViolation(f"moment check needs k' <= k, got k'={kp} > k={k}")
         ell = moment_exponent(k, kp, q_p)
         density = deposit_moment(p, grid, kp)
         lhs = lp_norm_of_field(density, ell)

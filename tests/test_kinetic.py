@@ -23,9 +23,10 @@ from llgvm import (
     sample_initial,
     write_snapshot,
 )
+from llgvm import kinetic
 from llgvm.errors import BlowUpError, ConfigError, ContractViolation
 from llgvm.kinetic import (
-    _PUSH_CHUNK,
+    _CHUNK,
     CHARGE,
     ParticleEnsemble,
     _rodrigues_rotate,
@@ -34,6 +35,7 @@ from llgvm.kinetic import (
     canonical,
     lp_norm_of_field,
     moment_exponent_exact,
+    total_moment,
 )
 from llgvm.selftest import speed_drift
 
@@ -46,6 +48,31 @@ NON_CUBIC = (BOX, 7.3, 0.37)
 def bits(a):
     """The int64 view of a float64 array: equal bits, so -0.0 differs from 0.0."""
     return np.ascontiguousarray(a).view(np.int64)
+
+
+def reference_deposit(p, grid):
+    """rho and j as one np.add.at per density over the whole ensemble in canonical
+    order, particle-major: particle by particle, corner by corner within one."""
+    q = canonical(p)
+    n = np.asarray(grid.n_cells)[:, None]
+    frac = q.positions / np.asarray(grid.spacing)[:, None]
+    lower = np.floor(frac)
+    frac -= lower
+    nodes = (lower.astype(np.int64) % n, (lower.astype(np.int64) + 1) % n)
+    weights = (1.0 - frac, frac)
+    _, ny, nz = grid.n_cells
+    idx = np.empty((q.count, 8), dtype=np.int64)
+    wgt = np.empty((q.count, 8))
+    for c in range(8):
+        bx, by, bz = c >> 2, (c >> 1) & 1, c & 1
+        idx[:, c] = (nodes[bx][0] * ny + nodes[by][1]) * nz + nodes[bz][2]
+        wgt[:, c] = (weights[bx][0] * weights[by][1]) * weights[bz][2]
+    densities = []
+    for row in (q.weights, *(q.weights * q.velocities)):
+        acc = np.zeros(grid.n_nodes)
+        np.add.at(acc, idx.reshape(-1), ((wgt * row[:, None]) / grid.cell_volume).reshape(-1))
+        densities.append(CHARGE * acc.reshape(grid.shape))
+    return densities[0], np.stack(densities[1:])
 
 
 def reference_push(p, e_tot, b_tot, dt):
@@ -329,9 +356,8 @@ class TestWrap:
 
 
 class TestChunkedPush:
-    @pytest.mark.parametrize(
-        "n", [1, _PUSH_CHUNK - 1, _PUSH_CHUNK, _PUSH_CHUNK + 1, 2 * _PUSH_CHUNK + 3]
-    )
+    # whole multiples of the chunk, one off each side of one, and a remainder
+    @pytest.mark.parametrize("n", [1, 4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1, 8 * _CHUNK + 3])
     def test_bitwise_equal_to_one_pass(self, grid16, n):
         p = sample_initial(TwoStream(0.8, 0.3), n, 11, grid16)
         efield = band_limited_vector(grid16, 3, k_cut=2, amplitude=0.3)
@@ -345,11 +371,11 @@ class TestChunkedPush:
 
     @staticmethod
     def last_chunk_apart(grid, extra=5):
-        """_PUSH_CHUNK resting particles at x < L/4, then `extra` at x in [L/2, 0.7 L]."""
-        n = _PUSH_CHUNK + extra
+        """_CHUNK resting particles at x < L/4, then `extra` at x in [L/2, 0.7 L]."""
+        n = _CHUNK + extra
         pos = np.random.default_rng(12).random((3, n)) * np.asarray(grid.box_length)[:, None]
-        pos[0, :_PUSH_CHUNK] *= 0.25
-        pos[0, _PUSH_CHUNK:] = grid.box_length[0] * np.linspace(0.5, 0.7, extra)
+        pos[0, :_CHUNK] *= 0.25
+        pos[0, _CHUNK:] = grid.box_length[0] * np.linspace(0.5, 0.7, extra)
         return ParticleEnsemble(pos, np.zeros((3, n)), np.full(n, 1.0 / n))
 
     def test_one_warning_when_only_the_last_chunk_is_under_resolved(self, grid16):
@@ -499,6 +525,29 @@ class TestDeposit:
             assert np.array_equal(values, expected)
         assert np.array_equal(gather(fields[:1], pos.T)[0], gathered[0])
 
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_bitwise_equal_to_particle_major_reference(self, grid16, n):
+        p = sample_initial(TwoStream(0.8, 0.3), n, 11, grid16)  # in sampling order
+        rho, j = deposit(p, grid16)
+        rho_ref, j_ref = reference_deposit(p, grid16)
+        assert np.array_equal(bits(rho.values), bits(rho_ref))
+        assert np.array_equal(bits(j.values), bits(j_ref))
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_leaves_the_sums_unchanged(self, monkeypatch, grid16, chunk):
+        p = sample_initial(TwoStream(0.8, 0.3), 700, 5, grid16)
+        rho, j = deposit(p, grid16)
+        monkeypatch.setattr(kinetic, "_CHUNK", chunk)
+        rho_c, j_c = deposit(p, grid16)
+        assert np.array_equal(bits(rho_c.values), bits(rho.values))
+        assert np.array_equal(bits(j_c.values), bits(j.values))
+
+    def test_zeroth_moment_density_is_minus_rho(self, grid16):
+        # w |v|^0 is w itself, so the one deposit path gives -rho bit for bit
+        p = sample_initial(TwoStream(0.8, 0.3), 2 * _CHUNK + 3, 9, grid16)
+        rho, _ = deposit(p, grid16)
+        assert np.array_equal(bits(deposit_moment(p, grid16, 0).values), bits(-rho.values))
+
     def test_empty_ensemble(self, grid16):
         rho, j = deposit(ParticleEnsemble.empty(), grid16)
         assert np.abs(rho.values).max() == 0.0
@@ -516,6 +565,26 @@ class TestMoments:
     def test_exponent_rejects_bad_orders(self):
         with pytest.raises(ContractViolation):
             moment_exponent(1, 2, 4)
+
+    @pytest.mark.parametrize(
+        "k, k_prime, p", [(2, np.nan, 2), (2, 0, np.nan), (2, 0, np.inf), (np.inf, 0, 2)]
+    )
+    def test_exponent_rejects_non_finite_orders(self, k, k_prime, p):
+        with pytest.raises(ContractViolation, match="need"):
+            moment_exponent(k, k_prime, p)
+
+    @pytest.mark.parametrize("order", [-1.0, np.nan, np.inf])
+    def test_total_moment_rejects_bad_orders(self, grid16, order):
+        p = sample_initial(UniformMaxwellian(0.3), 10, 1, grid16)
+        with pytest.raises(ContractViolation, match="moment order"):
+            total_moment(p, order)
+
+    @pytest.mark.parametrize("order", [np.nan, np.inf])
+    def test_deposit_moment_rejects_non_finite_orders(self, grid16, order):
+        # speeds above 1, so |v|^inf is inf and |v|^nan is nan
+        p = sample_initial(UniformMaxwellian(3.0), 10, 1, grid16)
+        with pytest.raises(ContractViolation, match="moment order"):
+            deposit_moment(p, grid16, order)
 
     def test_empty_ensemble_moments_vanish(self, grid16):
         report = moment_report(ParticleEnsemble.empty(), grid16, k_list=(0, 1, 2))

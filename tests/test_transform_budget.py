@@ -8,9 +8,10 @@ LLG rate takes one inverse transform, of (k^4 - k^2) m_hat, the helicity is a
 Parseval sum that takes none, compute_e takes none either (it reads both
 states' cached partials), and no cross product goes through np.cross.  The
 particles of a state are deposited once, and the ledger reuses that charge.
-A step builds two CIC stencils, one for the gather at the half-step
-positions and one for the deposit at the new ones, and an ensemble kept in
-canonical order needs no full-key sort when its x values do not tie.  The
+A step builds two CIC stencils per slice of kinetic._CHUNK particles, one
+for the gather at the half-step positions and one for the deposit at the new
+ones, so two for the 400 particles below, and an ensemble kept in canonical
+order needs no full-key sort when its x values do not tie.  The
 counts below are the whole budget; a change that adds a transform, a stencil
 or a deposit to the step must update them deliberately.
 """
