@@ -89,10 +89,13 @@ def _cmd_diag_topology(args) -> int:
     for line in report.lines():
         print(line)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("z_index,skyrmion_number\n")
-            for z, q in report.skyrmion_number_per_slice:
-                fh.write(f"{z},{q!r}\n")
+        try:
+            with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("z_index,skyrmion_number\n")
+                for z, q in report.skyrmion_number_per_slice:
+                    fh.write(f"{z},{q!r}\n")
+        except OSError as err:
+            raise ConfigError(f"cannot write {args.csv}: {err}") from err
     return EXIT_OK
 
 

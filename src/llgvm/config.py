@@ -91,21 +91,16 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
+    def _per_axis(self, prefix: str, fallback: str) -> tuple:
+        """grid.<prefix>x, y, z, each falling back to grid.<fallback> where unset."""
+        each = (self.values[f"grid.{prefix}{axis}"] for axis in "xyz")
+        return tuple(self.values[f"grid.{fallback}"] if v is None else v for v in each)
+
     def grid_shape(self) -> tuple[int, int, int]:
-        v = self.values
-        return (
-            v["grid.nx"] if v["grid.nx"] is not None else v["grid.n"],
-            v["grid.ny"] if v["grid.ny"] is not None else v["grid.n"],
-            v["grid.nz"] if v["grid.nz"] is not None else v["grid.n"],
-        )
+        return self._per_axis("n", "n")
 
     def box_lengths(self) -> tuple[float, float, float]:
-        v = self.values
-        return (
-            v["grid.lx"] if v["grid.lx"] is not None else v["grid.box"],
-            v["grid.ly"] if v["grid.ly"] is not None else v["grid.box"],
-            v["grid.lz"] if v["grid.lz"] is not None else v["grid.box"],
-        )
+        return self._per_axis("l", "box")
 
 
 def _range_checks(values: dict, errors: list[str], warnings: list[str]):
@@ -209,7 +204,7 @@ def parse_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read configuration file {path}: {err}") from err
     return parse_config_text(text, source=str(path))
 

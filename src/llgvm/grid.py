@@ -272,50 +272,54 @@ def grad(field: ScalarField) -> VectorField3:
     return VectorField3(g, np.stack(_partials(g, _fft(field.values))))
 
 
+def _div_spectrum(grid: PeriodicGrid, spec: np.ndarray) -> np.ndarray:
+    """ik . v_hat, the half spectrum of div v from the half spectrum of v."""
+    ik = grid._ik
+    return ik[0] * spec[0] + ik[1] * spec[1] + ik[2] * spec[2]
+
+
+def _curl_spectrum(grid: PeriodicGrid, spec: np.ndarray):
+    """ik x v_hat, the half spectra of curl v from that of v, yielded one component at a time."""
+    ik = grid._ik
+    yield ik[1] * spec[2] - ik[2] * spec[1]
+    yield ik[2] * spec[0] - ik[0] * spec[2]
+    yield ik[0] * spec[1] - ik[1] * spec[0]
+
+
 def div(field: VectorField3) -> ScalarField:
     if not isinstance(field, VectorField3):
         raise ContractViolation("div expects a vector field")
     g = field.grid
-    spec = _fft(field.values)
-    acc = g._ik[0] * spec[0] + g._ik[1] * spec[1] + g._ik[2] * spec[2]
-    return ScalarField(g, _ifft_real(acc))
+    return ScalarField(g, _ifft_real(_div_spectrum(g, _fft(field.values))))
 
 
 def curl(field: VectorField3) -> VectorField3:
     if not isinstance(field, VectorField3):
         raise ContractViolation("curl expects a vector field")
     g = field.grid
-    ik = g._ik
-    spec = _fft(field.values)
-    out = np.stack(
-        [
-            _ifft_real(ik[1] * spec[2] - ik[2] * spec[1]),
-            _ifft_real(ik[2] * spec[0] - ik[0] * spec[2]),
-            _ifft_real(ik[0] * spec[1] - ik[1] * spec[0]),
-        ]
-    )
-    return VectorField3(g, out)
+    spectra = _curl_spectrum(g, _fft(field.values))
+    return VectorField3(g, np.stack([_ifft_real(c) for c in spectra]))
+
+
+def _filter(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """The real array whose half spectrum is that of values times symbol (a Fourier multiplier)."""
+    spec = _fft(values)
+    spec *= symbol
+    return _ifft_real(spec)
 
 
 def laplacian(field: Field) -> Field:
-    g = field.grid
-    spec = _fft(field.values) * (-g.k_squared)
-    vals = _ifft_real(spec)
-    return type(field)(g, vals)
+    return type(field)(field.grid, _filter(field.values, -field.grid.k_squared))
 
 
 def biharmonic(field: Field) -> Field:
-    g = field.grid
-    spec = _fft(field.values) * (g.k_squared * g.k_squared)
-    vals = _ifft_real(spec)
-    return type(field)(g, vals)
+    k2 = field.grid.k_squared
+    return type(field)(field.grid, _filter(field.values, k2 * k2))
 
 
 def dealias(field: Field) -> Field:
     """Zero all modes beyond the 2/3 rule (used on nonlinear right-hand sides)."""
-    g = field.grid
-    spec = _fft(field.values) * g.dealias_mask
-    return type(field)(g, _ifft_real(spec))
+    return type(field)(field.grid, _filter(field.values, field.grid.dealias_mask))
 
 
 def _check_compatible(a: Field, b: Field):

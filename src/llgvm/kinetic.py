@@ -308,27 +308,19 @@ def lorentz_push(
     return ParticleEnsemble(x_new, v_new, p.weights)
 
 
-def _canonical_order(p: ParticleEnsemble) -> np.ndarray | None:
-    """Permutation that puts p in canonical order.
+def canonical(p: ParticleEnsemble) -> ParticleEnsemble:
+    """p permuted into the canonical order of the deposit; p itself if it is in it.
 
-    None means p is in that order already: its x strictly increases, so the
-    sort would return the identity and meet no tie.
+    p is in that order already if its x strictly increases: the sort would
+    return the identity and meet no tie.
     """
     x = p.positions[0]
     if np.all(x[1:] > x[:-1]):
-        return None
+        return p
     order = np.argsort(x, kind="stable")
     x = x[order]
     if np.any(x[1:] == x[:-1]):
         order = np.lexsort((p.weights, *p.velocities[::-1], *p.positions[::-1]))
-    return order
-
-
-def canonical(p: ParticleEnsemble) -> ParticleEnsemble:
-    """p permuted into the canonical order of the deposit; p itself if it is in it."""
-    order = _canonical_order(p)
-    if order is None:
-        return p
     return ParticleEnsemble(
         np.take(p.positions, order, axis=1), np.take(p.velocities, order, axis=1), p.weights[order]
     )
@@ -341,17 +333,14 @@ def _deposit(p: ParticleEnsemble, grid: PeriodicGrid, rows) -> np.ndarray:
     then taken in contiguous slices of _CHUNK.  Each node adds its terms in the
     order the module docstring states, whatever the slice size.
     """
-    pos, vel, w = p.positions, p.velocities, p.weights
-    order = _canonical_order(p)
-    if order is not None:
-        pos, vel, w = np.take(pos, order, axis=1), np.take(vel, order, axis=1), w[order]
+    p = canonical(p)
     out = None
     for start in range(0, p.count, _CHUNK):
         cols = slice(start, start + _CHUNK)
-        idx, wgt = _cic_corners(grid, pos[:, cols])
+        idx, wgt = _cic_corners(grid, p.positions[:, cols])
         idx = idx.T.ravel()  # particle-major
         wgt = np.ascontiguousarray(wgt.T)
-        qs = rows(vel[:, cols], w[cols])
+        qs = rows(p.velocities[:, cols], p.weights[cols])
         if out is None:
             out = np.zeros((len(qs), grid.n_nodes))
         contrib = np.empty_like(wgt)

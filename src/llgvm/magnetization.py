@@ -139,25 +139,24 @@ def apply_a(m: np.ndarray, xi: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * xi - _cross(m, xi)
 
 
+def _stiffness(mf: MagnetizationField) -> np.ndarray:
+    """(bih + lap) m, one inverse transform of (k^4 - k^2) m_hat."""
+    k2 = mf.grid.k_squared
+    return _ifft_real((k2 * k2 - k2) * mf.spectrum)
+
+
 def effective_field(mf: MagnetizationField) -> VectorField3:
     """h_eff = -(bih m + lap m + h (m - e3)), the negative energy gradient."""
-    g = mf.grid
-    spec = mf.spectrum
-    k2 = g.k_squared
-    lap = _ifft_real(-k2 * spec)
-    bih = _ifft_real(k2 * k2 * spec)
     zeeman = mf.h_zeeman * (mf.m - E3.reshape(3, 1, 1, 1))
-    return VectorField3(g, -(bih + lap + zeeman))
+    return VectorField3(mf.grid, -(_stiffness(mf) + zeeman))
 
 
 def _rhs(mf: MagnetizationField, j: VectorField3 | None) -> np.ndarray:
     """dm/dt = A(m) P(h e3 - m x (j.grad)m - (lap + bih) m) / (1 + alpha^2)."""
-    g = mf.grid
-    if j is not None and j.grid != g:
+    if j is not None and j.grid != mf.grid:
         raise ContractViolation("current density lives on a different grid")
     m = mf.m
-    k2 = g.k_squared
-    drive = mf.h_zeeman * E3.reshape(3, 1, 1, 1) - _ifft_real((k2 * k2 - k2) * mf.spectrum)
+    drive = mf.h_zeeman * E3.reshape(3, 1, 1, 1) - _stiffness(mf)
     if j is not None:
         jgrad = np.zeros_like(m)
         for axis, dm_axis in enumerate(mf.gradient):

@@ -44,6 +44,11 @@ def _curl(values: np.ndarray, grid: PeriodicGrid, diff) -> np.ndarray:
     )
 
 
+def _pair_average(values: np.ndarray, shift: int) -> np.ndarray:
+    """Component a of (3, ...) values averaged with its neighbour shift nodes along axis a."""
+    return np.stack([0.5 * (values[a] + np.roll(values[a], shift, axis=a)) for a in range(3)])
+
+
 def div_face(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Face-based divergence at cell centers (forward differences)."""
     return sum(_fwd_diff(values[a], a, grid.spacing[a]) for a in range(3))
@@ -173,21 +178,12 @@ def step_fields(em: EMFieldPair, j_mollified: VectorField3 | None, dt: float) ->
     if j_mollified is not None:
         if j_mollified.grid != grid:
             raise ContractViolation("current grid mismatch")
-        j_edge = np.stack(
-            [
-                0.5 * (j_mollified.values[a] + np.roll(j_mollified.values[a], -1, axis=a))
-                for a in range(3)
-            ]
-        )
-        e_new = e_new - (dt / em.eps_r) * j_edge
+        e_new = e_new - (dt / em.eps_r) * _pair_average(j_mollified.values, -1)
     return replace(em, E=VectorField3(grid, e_new), B=VectorField3(grid, b_new))
 
 
 def avg_E_to_nodes(em: EMFieldPair) -> VectorField3:
-    vals = np.stack(
-        [0.5 * (em.E.values[a] + np.roll(em.E.values[a], 1, axis=a)) for a in range(3)]
-    )
-    return VectorField3(em.grid, vals)
+    return VectorField3(em.grid, _pair_average(em.E.values, 1))
 
 
 def avg_B_to_nodes(em: EMFieldPair) -> VectorField3:

@@ -185,7 +185,10 @@ def _write_snapshots(state: SimState, outdir: Path, tag: str) -> None:
 def run_simulation(cfg: RunConfig, output_dir=None) -> SimState:
     """Execute run.n_steps coupled steps, writing ledger.csv and snapshots."""
     outdir = Path(output_dir if output_dir is not None else cfg.values["run.output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {outdir}: {err}") from err
     state = build_state(cfg)
     dt = validate_dt(cfg, state)
     n_steps = cfg.values["run.n_steps"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .grid import Field, PeriodicGrid, ScalarField, _along, _fft, _ifft_real
+from .grid import Field, PeriodicGrid, ScalarField, _along, _fft, _filter
 
 
 def _min_image_radius_sq(grid: PeriodicGrid) -> np.ndarray:
@@ -49,9 +49,7 @@ class Mollifier:
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         """Convolve a raw array whose trailing three axes match the grid."""
-        spec = _fft(values)
-        spec *= self.symbol
-        return _ifft_real(spec)
+        return _filter(values, self.symbol)
 
 
 def mollify(field: Field, mollifier: Mollifier) -> Field:

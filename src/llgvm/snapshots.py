@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, SnapshotError
+from .errors import ContractViolation, SnapshotError, StateCorruption
 from .grid import PeriodicGrid, ScalarField, VectorField3
 from .kinetic import ParticleEnsemble
 from .magnetization import MagnetizationField
@@ -121,18 +121,20 @@ def read_snapshot(path) -> Snapshot:
         raise SnapshotError(f"checksum mismatch in {path}: payload is corrupted")
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     name = name_b.rstrip(b"\0").decode("utf-8", errors="replace")
-    if kind == KIND_ENSEMBLE:
-        rec = data.reshape(d0, 7)
-        obj = ParticleEnsemble(rec[:, 0:3].T, rec[:, 3:6].T, rec[:, 6])
-        return Snapshot(name, time, obj)
     try:
-        grid = PeriodicGrid((d0, d1, d2), (b0, b1, b2))
+        grid = None if kind == KIND_ENSEMBLE else PeriodicGrid((d0, d1, d2), (b0, b1, b2))
     except ContractViolation as err:
         raise SnapshotError(f"invalid grid in header of {path}: {err}") from err
-    if kind == KIND_SCALAR:
-        return Snapshot(name, time, ScalarField(grid, data.reshape(grid.shape)))
-    if kind == KIND_VECTOR:
-        return Snapshot(name, time, VectorField3(grid, data.reshape(3, *grid.shape)))
-    h_zeeman, alpha = data[0], data[1]
-    m = data[2:].reshape(3, *grid.shape)
-    return Snapshot(name, time, MagnetizationField(grid, m, h_zeeman, alpha))
+    try:  # the payload passed its CRC; its object's constructor runs the object's own checks
+        if kind == KIND_ENSEMBLE:
+            rec = data.reshape(d0, 7)
+            obj = ParticleEnsemble(rec[:, 0:3].T, rec[:, 3:6].T, rec[:, 6])
+        elif kind == KIND_SCALAR:
+            obj = ScalarField(grid, data.reshape(grid.shape))
+        elif kind == KIND_VECTOR:
+            obj = VectorField3(grid, data.reshape(3, *grid.shape))
+        else:
+            obj = MagnetizationField(grid, data[2:].reshape(3, *grid.shape), data[0], data[1])
+    except (ContractViolation, StateCorruption) as err:
+        raise SnapshotError(f"invalid payload in {path}: {err}") from err
+    return Snapshot(name, time, obj)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .grid import PeriodicGrid, _fft, _ifft_real
+from .grid import PeriodicGrid, _filter
 from .magnetization import MagnetizationField, unit_normalize
 
 TEXTURE_NAMES = ("uniform", "skyrmion_tube", "hopfion", "random_smooth")
@@ -31,6 +31,19 @@ def uniform_texture(grid: PeriodicGrid) -> np.ndarray:
     return out
 
 
+def _radial_profile(grid: PeriodicGrid, radius: float, n_axes: int):
+    """The angle pi * (1 - S(r/R)) and the radial unit vector (0 at r = 0).
+
+    r is the distance from the box centre over the first n_axes axes, and the
+    unit vector has those n_axes components.
+    """
+    d = [x - 0.5 * l for x, l in zip(grid.node_mesh[:n_axes], grid.box_length)]
+    r = np.sqrt(sum(di**2 for di in d))
+    safe_r = np.where(r > 0.0, r, 1.0)
+    unit = [np.where(r > 0.0, di / safe_r, 0.0) for di in d]
+    return np.pi * (1.0 - smoothstep_flat(r / radius)), unit
+
+
 def skyrmion_tube(grid: PeriodicGrid, radius: float | None = None) -> np.ndarray:
     """Planar axisymmetric skyrmion (degree -1 per slice) extended along z.
 
@@ -42,16 +55,11 @@ def skyrmion_tube(grid: PeriodicGrid, radius: float | None = None) -> np.ndarray
         radius = 0.3 * min(lx, ly)
     if not 0.0 < radius <= 0.5 * min(lx, ly):
         raise ConfigError(f"skyrmion radius {radius} does not fit in the box")
-    x, y, _ = grid.node_mesh
-    dx = x - 0.5 * lx
-    dy = y - 0.5 * ly
-    r = np.sqrt(dx**2 + dy**2)
-    theta = np.pi * (1.0 - smoothstep_flat(r / radius))
+    theta, (nx, ny) = _radial_profile(grid, radius, 2)
     sin_t = np.sin(theta)
-    safe_r = np.where(r > 0.0, r, 1.0)
     out = np.empty((3, *grid.shape))
-    out[0] = sin_t * np.where(r > 0.0, dx / safe_r, 0.0)
-    out[1] = sin_t * np.where(r > 0.0, dy / safe_r, 0.0)
+    out[0] = sin_t * nx
+    out[1] = sin_t * ny
     out[2] = np.cos(theta)
     return band_limit_unit(unit_normalize(out), grid)
 
@@ -71,7 +79,7 @@ def band_limit_unit(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     filt = np.exp(-grid.k_squared / (0.45 * k_nyq) ** 2)
     out = values
     for _ in range(2):
-        out = unit_normalize(_ifft_real(_fft(out) * filt))
+        out = unit_normalize(_filter(out, filt))
     return out
 
 
@@ -89,17 +97,8 @@ def hopfion(grid: PeriodicGrid, radius: float | None = None) -> np.ndarray:
         radius = 0.375 * lmin
     if not 0.0 < radius <= 0.5 * lmin:
         raise ConfigError(f"hopfion radius {radius} does not fit in the box")
-    x, y, z = grid.node_mesh
-    dx = x - 0.5 * grid.box_length[0]
-    dy = y - 0.5 * grid.box_length[1]
-    dz = z - 0.5 * grid.box_length[2]
-    r = np.sqrt(dx**2 + dy**2 + dz**2)
-    xi = np.pi * (1.0 - smoothstep_flat(r / radius))
+    xi, (nx, ny, nz) = _radial_profile(grid, radius, 3)
     sin_xi = np.sin(xi)
-    safe_r = np.where(r > 0.0, r, 1.0)
-    nx = np.where(r > 0.0, dx / safe_r, 0.0)
-    ny = np.where(r > 0.0, dy / safe_r, 0.0)
-    nz = np.where(r > 0.0, dz / safe_r, 0.0)
     # Point on S^3 as a pair of complex numbers, then the Hopf map to S^2.
     z1 = np.cos(xi) - 1j * (sin_xi * nz)
     z2 = (sin_xi * nx) + 1j * (sin_xi * ny)
@@ -121,7 +120,7 @@ def random_smooth_unit(
     """
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((3, *grid.shape))
-    u = _ifft_real(_fft(white) * grid.box_mask((k_cut,) * 3))
+    u = _filter(white, grid.box_mask((k_cut,) * 3))
     rms = np.sqrt(np.mean(u**2, axis=(1, 2, 3), keepdims=True))
     u /= np.maximum(rms, 1e-300)
     base = np.zeros_like(u)

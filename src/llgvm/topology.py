@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DegenerateSliceError
-from .grid import VectorField3, _cross, _fft, _ifft_real, _spectral_power, div, l2_inner, l2_norm
+from .grid import VectorField3, _cross, _curl_spectrum, _div_spectrum, _fft, _ifft_real, _spectral_power
+from .grid import div, l2_inner, l2_norm
 from .magnetization import MagnetizationField
 from .emergent import compute_b
 
@@ -75,9 +76,7 @@ def _potential_spectrum(b: VectorField3):
     if norm_b == 0.0:
         return None
     spec = _fft(b.values)
-    ik = g._ik
-    div_spec = ik[0] * spec[0] + ik[1] * spec[1] + ik[2] * spec[2]
-    rel_div = np.sqrt(g.volume * _spectral_power(g, div_spec)) / norm_b
+    rel_div = np.sqrt(g.volume * _spectral_power(g, _div_spectrum(g, spec))) / norm_b
     if rel_div > 1e-6:
         raise ContractViolation(
             f"input is not solenoidal (relative spectral divergence {rel_div:.3e} > 1e-6)"
@@ -88,12 +87,7 @@ def _potential_spectrum(b: VectorField3):
     spec[:, 0, 0, 0] = 0.0
     k2 = g.k_squared.copy()
     k2[0, 0, 0] = 1.0
-    a_spec = (
-        (ik[1] * spec[2] - ik[2] * spec[1]) / k2,
-        (ik[2] * spec[0] - ik[0] * spec[2]) / k2,
-        (ik[0] * spec[1] - ik[1] * spec[0]) / k2,
-    )
-    return a_spec, spec
+    return tuple(c / k2 for c in _curl_spectrum(g, spec)), spec
 
 
 def vector_potential(b: VectorField3) -> VectorField3:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,17 @@ def rewrite_snapshot_header(src, dst, dims=None, box=None):
     if box is not None:
         header[8:11] = box
     dst.write_bytes(_HEADER.pack(*header) + raw[_HEADER.size :])
+
+
+def rewrite_snapshot_payload(path, index, value):
+    """Set one payload double of a snapshot in place and recompute the header's CRC."""
+    raw = path.read_bytes()
+    header = list(_HEADER.unpack(raw[: _HEADER.size]))
+    data = np.frombuffer(raw[_HEADER.size :], dtype="<f8").copy()
+    data[index] = value
+    payload = data.tobytes()
+    header[-1] = zlib.crc32(payload) & 0xFFFFFFFF
+    path.write_bytes(_HEADER.pack(*header) + payload)
 
 
 def rel_l2(a: np.ndarray, b: np.ndarray) -> float:

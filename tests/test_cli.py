@@ -10,7 +10,7 @@ from llgvm import PeriodicGrid, cli, selftest
 from llgvm.errors import BlowUpError
 from llgvm.maxwell import cfl_limit
 
-from conftest import rewrite_snapshot_header
+from conftest import rewrite_snapshot_header, rewrite_snapshot_payload
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -95,6 +95,30 @@ class TestRun:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out" / "ledger.csv").exists()
 
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# caf\u00e9\ngrid.n = 8\nkinetic.n_particles = 0\n".encode("latin-1"))
+        code = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert str(cfg) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["--output", "run.output_dir"])
+    def test_output_dir_under_a_regular_file_exits_2(self, tmp_path, capsys, how):
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("")
+        out = blocker / "out"
+        cfg = tmp_path / "ok.cfg"
+        text = "grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 0\nrun.n_steps = 1\nrun.dt = 1e-4\n"
+        args = ["run", "--config", str(cfg)]
+        if how == "--output":
+            args += ["--output", str(out)]
+        else:
+            text += f"run.output_dir = {out}\n"
+        cfg.write_text(text)
+        assert cli.main(args) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and str(out) in err
+
     def test_runtime_blow_up_exit_code(self, tmp_path, monkeypatch):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 0\nrun.n_steps = 1\nrun.dt = 1e-4\n")
@@ -147,6 +171,23 @@ class TestDiag:
         rewrite_snapshot_header(finished_run / "m_final.snap", bad, dims=(6, 48, 48))
         assert cli.main(["diag", "energy", str(bad)]) == cli.EXIT_RUNTIME
         assert "inconsistent header" in capsys.readouterr().err
+
+    def test_topology_csv_that_cannot_be_written_exits_2(self, finished_run, tmp_path, capsys):
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("")
+        csv_out = blocker / "slices.csv"
+        code = cli.main(["diag", "topology", str(finished_run / "m_final.snap"), "--csv", str(csv_out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot write" in err and str(csv_out) in err
+
+    def test_energy_on_a_non_unit_payload_names_the_file(self, finished_run, tmp_path, capsys):
+        bad = tmp_path / "m_bad.snap"
+        bad.write_bytes((finished_run / "m_final.snap").read_bytes())
+        rewrite_snapshot_payload(bad, 2, 1.5)  # m_x at node 0; the CRC is recomputed
+        assert cli.main(["diag", "energy", str(bad)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"invalid payload in {bad}" in err and "deviates from 1" in err
 
 
 class TestSelftest:

@@ -14,7 +14,7 @@ from llgvm.magnetization import MagnetizationField
 from llgvm.runner import parse_modes
 from llgvm.textures import hopfion, random_smooth_unit
 
-from conftest import BOX, band_limited_vector, rewrite_snapshot_header
+from conftest import BOX, band_limited_vector, rewrite_snapshot_header, rewrite_snapshot_payload
 
 
 class TestConfigParsing:
@@ -226,6 +226,30 @@ class TestSnapshots:
         with pytest.raises(SnapshotError, match="invalid grid") as err:
             read_snapshot(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "kind, index, value, message",
+        [
+            ("m", 2, 1.5, "deviates from 1"),  # m_x at node 0
+            ("m", 1, -0.1, "alpha must be positive"),
+            ("E", 10, np.nan, "NaN"),
+            ("particles", 6, -1.0, "non-negative"),  # the weight of particle 0
+        ],
+        ids=["m-not-unit", "alpha-not-positive", "nan-field-value", "negative-weight"],
+    )
+    def test_payload_failing_its_object_checks(self, grid16, tmp_path, kind, index, value, message):
+        rng = np.random.default_rng(8)
+        objs = {
+            "m": MagnetizationField(grid16, random_smooth_unit(grid16, 5), 0.5, 0.1),
+            "E": band_limited_vector(grid16, 207),
+            "particles": ParticleEnsemble(rng.random((3, 5)), rng.random((3, 5)), rng.random(5)),
+        }
+        path = tmp_path / f"{kind}.snap"
+        write_snapshot(objs[kind], path, kind)
+        rewrite_snapshot_payload(path, index, value)  # the CRC matches the edited payload
+        with pytest.raises(SnapshotError, match="invalid payload") as err:
+            read_snapshot(path)
+        assert str(path) in str(err.value) and message in str(err.value)
 
     def test_corrupted_payload_detected(self, grid16, tmp_path):
         field = band_limited_vector(grid16, 202)

@@ -8,10 +8,10 @@ import pytest
 from llgvm import Mollifier, ScalarField, coupler, l2_norm, mollify
 from llgvm.config import parse_config_text
 from llgvm.coupler import advance, energy_audit, make_initial_state, total_force_fields
-from llgvm.errors import LLGVMError, TimeStepError
+from llgvm.errors import ConfigError, LLGVMError, TimeStepError
 from llgvm.kinetic import ParticleEnsemble, deposit
-from llgvm.magnetization import MagnetizationField
-from llgvm.maxwell import init_compatible
+from llgvm.magnetization import MagnetizationField, dt_max, step
+from llgvm.maxwell import cfl_limit, init_compatible, step_fields
 from llgvm.runner import LEDGER_COLUMNS, build_state, ledger_row, run_simulation, validate_dt
 from llgvm.textures import skyrmion_tube, uniform_texture
 
@@ -218,3 +218,42 @@ class TestLedger:
         rho_raw, _ = deposit(state.particles, state.mf.grid)
         rho = mollify(rho_raw, state.mollifier)
         assert gauss_residual(state.em, rho) / l2_norm(rho) < 1e-2
+
+
+class TestValidateDt:
+    @pytest.mark.parametrize("bound", ["magnetization", "cfl"])
+    def test_agrees_with_the_solver_at_its_bound(self, bound):
+        # validate_dt restates each solver's comparison; the three floats
+        # around each bound pin the two homes of the rule to each other.
+        # stabilizer_c = 6 makes the magnetization limit infinite, so only
+        # the CFL bound can refuse in the second case.
+        extra = "" if bound == "magnetization" else "llg.stabilizer_c = 6.0\n"
+        cfg = parse_config_text(f"grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 0\n{extra}")
+        state = build_state(cfg)
+        grid = state.mf.grid
+        if bound == "magnetization":
+            b = dt_max(grid, state.mf.alpha, state.mf.h_zeeman, state.ll_coeffs)
+            expected = [True, True, False]  # dt <= b
+
+            def solver(dt):
+                step(state.mf, None, dt, state.ll_coeffs)
+        else:
+            b = cfl_limit(grid, state.em.eps_r, state.em.mu_r)
+            expected = [True, False, False]  # dt < b
+
+            def solver(dt):
+                step_fields(state.em, None, dt)
+
+        def accepts(call, refusal):
+            try:
+                call()
+            except refusal:
+                return False
+            return True
+
+        runner, solo = [], []
+        for dt in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)):
+            cfg.values["run.dt"] = float(dt)
+            runner.append(accepts(lambda: validate_dt(cfg, state), ConfigError))
+            solo.append(accepts(lambda: solver(float(dt)), TimeStepError))
+        assert runner == solo == expected

@@ -26,6 +26,7 @@ from llgvm import (
     l2_inner,
     l2_norm,
     laplacian,
+    mollify,
 )
 from llgvm.errors import ContractViolation
 from llgvm.grid import _cross, _fft, _ifft_real, _spectral_power
@@ -351,6 +352,28 @@ class TestTransforms:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.25 * out.nbytes, transform.__name__
+
+    def test_operators_are_one_product_with_the_spectrum(self):
+        # each operator is _ifft_real of one product with _fft(values), bitwise:
+        # the multipliers with a float, a bool and the mollifier's symbol, and
+        # div and curl with ik . v_hat and ik x v_hat
+        g = PeriodicGrid((8, 12, 16), (3.0, 5.0, 7.0))
+        v = VectorField3(g, np.random.default_rng(43).standard_normal((3, *g.shape)))
+        k2, ik, mol = g.k_squared, g._ik, Mollifier.build(g, 1.2)
+        for field in (v.component(1), v):
+            spec = _fft(field.values)
+            assert np.array_equal(laplacian(field).values, _ifft_real(spec * -k2))
+            assert np.array_equal(biharmonic(field).values, _ifft_real(spec * (k2 * k2)))
+            assert np.array_equal(dealias(field).values, _ifft_real(spec * g.dealias_mask))
+            assert np.array_equal(mollify(field, mol).values, _ifft_real(spec * mol.symbol))
+        s = _fft(v.values)
+        assert np.array_equal(div(v).values, _ifft_real(ik[0] * s[0] + ik[1] * s[1] + ik[2] * s[2]))
+        ref_curl = [
+            _ifft_real(ik[1] * s[2] - ik[2] * s[1]),
+            _ifft_real(ik[2] * s[0] - ik[0] * s[2]),
+            _ifft_real(ik[0] * s[1] - ik[1] * s[0]),
+        ]
+        assert np.array_equal(curl(v).values, np.stack(ref_curl))
 
     def test_cached_spectrum_is_refused_untouched(self, grid16):
         mf = MagnetizationField(grid16, random_smooth_unit(grid16, 31, 0.3, 2), 0.5, 0.1)

@@ -152,6 +152,17 @@ class TestEffectiveField:
         assert abs(quotient - exact) < 1e-5 * abs(exact)
 
 
+    def test_matches_two_transform_form(self, grid32):
+        # one inverse transform of (k^4 - k^2) m_hat against lap m and bih m
+        # from separate inverse transforms
+        mf = MagnetizationField(grid32, random_smooth_unit(grid32, 35, 0.3, 2), H_ZEEMAN, ALPHA)
+        k2 = grid32.k_squared
+        lap = _ifft_real(-k2 * mf.spectrum)
+        bih = _ifft_real(k2 * k2 * mf.spectrum)
+        ref = -(bih + lap + H_ZEEMAN * (mf.m - np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1, 1)))
+        assert rel_l2(effective_field(mf).values, ref) <= 1e-12
+
+
 class TestLLRhs:
     def test_ground_state_is_stationary(self, grid16):
         dmdt, lam = ll_rhs(uniform_mf(grid16))

@@ -206,6 +206,19 @@ class TestAveraging:
         expected = np.cos(k * x) * np.cos(k * grid16.spacing[0] / 2.0)
         assert np.abs(nodes.values[0] - expected).max() < 1e-13
 
+    def test_edge_and_node_averages_match_explicit_rolls(self, grid16):
+        # E onto nodes pairs each component with its lower neighbour; the
+        # step's current onto edges pairs it with its upper neighbour
+        e = band_limited_vector(grid16, 60)
+        em = EMFieldPair(e, band_limited_vector(grid16, 61), 1.0, 1.0)
+        ref = np.stack([0.5 * (e.values[a] + np.roll(e.values[a], 1, axis=a)) for a in range(3)])
+        assert np.array_equal(avg_E_to_nodes(em).values, ref)
+        j = band_limited_vector(grid16, 62)
+        j_edge = np.stack([0.5 * (j.values[a] + np.roll(j.values[a], -1, axis=a)) for a in range(3)])
+        dt = 0.3 * cfl_limit(grid16, 1.0, 1.0)
+        free = step_fields(em, None, dt).E.values
+        assert np.array_equal(step_fields(em, j, dt).E.values, free - dt * j_edge)
+
     def test_face_average_constant(self, grid16):
         vals = np.zeros((3, *grid16.shape))
         vals[1] = 4.0
