@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .maxwell import EMMode
 from .textures import TEXTURE_NAMES
 
 log = logging.getLogger(__name__)
@@ -42,6 +43,27 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
     return tuple(_parse_float(p) for p in parts)
 
 
+def _parse_modes(text: str) -> tuple[EMMode, ...]:
+    """Modes are 'nx,ny,nz,amplitude[,polarization]' entries joined by ';'."""
+    modes = []
+    for chunk in filter(None, map(str.strip, text.split(";"))):
+        parts = [p.strip() for p in chunk.split(",")]
+        try:
+            if len(parts) not in (4, 5):
+                raise ValueError("expected nx,ny,nz,amplitude[,polarization]")
+            n = (int(parts[0]), int(parts[1]), int(parts[2]))
+            amp = _parse_float(parts[3])
+            pol = int(parts[4]) if len(parts) == 5 else 0
+            if n == (0, 0, 0):
+                raise ValueError("zero wavevector")
+            if pol not in (0, 1):
+                raise ValueError("polarization must be 0 or 1")
+        except ValueError as err:
+            raise ValueError(f"bad em.init_modes entry {chunk!r}: {err}") from err
+        modes.append(EMMode(n, amp, pol))
+    return tuple(modes)
+
+
 # key -> (converter, default); a None default means "derived later".
 SCHEMA = {
     "grid.n": (int, 32),
@@ -62,7 +84,7 @@ SCHEMA = {
     "llg.init_kcut": (int, 2),
     "em.eps_r": (_parse_float, 1.0),
     "em.mu_r": (_parse_float, 1.0),
-    "em.init_modes": (str, ""),
+    "em.init_modes": (_parse_modes, ()),
     "kinetic.n_particles": (int, 10000),
     "kinetic.seed": (int, None),  # defaults to run.seed
     "kinetic.f0.kind": (str, "bump_maxwellian"),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emergent import EmergentFieldPair, compute_b, compute_e
-from .errors import ContractViolation, LLGVMError
+from .errors import LLGVMError
 from .grid import ScalarField, VectorField3, l2_inner
 from .kinetic import ParticleEnsemble, canonical, deposit, lorentz_push
 from .magnetization import LLCoefficients, MagnetizationField, energy, step
@@ -40,16 +40,16 @@ class EnergyLedger:
     dissipation_cum: float
     coupling_residual: float
 
-    @property
-    def total(self) -> float:
-        return self.kinetic + self.em_energy + self.micromagnetic
-
-    def validate(self):
+    def __post_init__(self):
         vals = (self.kinetic, self.em_energy, self.micromagnetic, self.dissipation_cum)
         if not all(np.isfinite(v) for v in vals):
             raise LLGVMError("ledger contains non-finite entries")
         if self.kinetic < 0.0 or self.em_energy < 0.0:
             raise LLGVMError("kinetic and electromagnetic energies must be non-negative")
+
+    @property
+    def total(self) -> float:
+        return self.kinetic + self.em_energy + self.micromagnetic
 
 
 def kinetic_energy(p: ParticleEnsemble) -> float:
@@ -75,14 +75,10 @@ def make_initial_state(
     particles: ParticleEnsemble,
     em: EMFieldPair,
     mollifier: Mollifier,
-    ll_coeffs: LLCoefficients | None = None,
-    rho: ScalarField | None = None,
+    ll_coeffs: LLCoefficients,
+    rho: ScalarField,
 ) -> SimState:
-    """Initial state; rho is the raw deposited charge of particles, optional without any."""
-    if rho is None:
-        if particles.count:
-            raise ContractViolation("an initial state with particles needs their deposited charge")
-        rho = ScalarField.zeros(mf.grid)
+    """Initial state; rho is the raw deposited charge of particles, zero without any."""
     ledger = EnergyLedger(
         kinetic=kinetic_energy(particles),
         em_energy=em_energy(em),
@@ -90,7 +86,6 @@ def make_initial_state(
         dissipation_cum=0.0,
         coupling_residual=0.0,
     )
-    ledger.validate()
     return SimState(
         t=0.0,
         step_index=0,
@@ -99,7 +94,7 @@ def make_initial_state(
         em=em,
         emergent=EmergentFieldPair.at_rest(mf),
         mollifier=mollifier,
-        ll_coeffs=ll_coeffs if ll_coeffs is not None else LLCoefficients.from_alpha(mf.alpha),
+        ll_coeffs=ll_coeffs,
         ledger=ledger,
         rho=rho,
     )
@@ -144,14 +139,14 @@ def advance(state: SimState, dt: float) -> SimState:
 
     dm_rate_sq = float(np.sum((mf_new.m - state.mf.m) ** 2)) * grid.cell_volume / dt**2
     residual = _phase(state, "ledger", energy_audit, state.em, em_new, e_half, j, j_s, e_tot)
-    ledger = EnergyLedger(
+    ledger = _phase(
+        state, "ledger", EnergyLedger,
         kinetic=kinetic_energy(particles),
         em_energy=em_energy(em_new),
         micromagnetic=_phase(state, "ledger", energy, mf_new),
         dissipation_cum=state.ledger.dissipation_cum + state.mf.alpha * dt * dm_rate_sq,
         coupling_residual=residual,
     )
-    _phase(state, "ledger", ledger.validate)
     return SimState(
         t=state.t + dt,
         step_index=state.step_index + 1,

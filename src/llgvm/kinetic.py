@@ -280,8 +280,6 @@ def lorentz_push(
         raise ContractViolation("dt must be positive and finite")
     if E_tot.grid != B_tot.grid:
         raise ContractViolation("field grids differ")
-    if p.count == 0:
-        return p
     box = E_tot.grid.box_length
     x_new, v_new = np.empty_like(p.positions), np.empty_like(p.velocities)
     b_max = 0.0

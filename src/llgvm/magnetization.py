@@ -74,8 +74,10 @@ class MagnetizationField:
         dev = np.abs(np.sqrt(np.sum(arr**2, axis=0)) - 1.0).max()
         if dev > 1e-12:
             raise StateCorruption(f"|m| deviates from 1 by {dev:.3e} (> 1e-12)")
-        if self.alpha <= 0.0:
-            raise ContractViolation("Gilbert damping alpha must be positive")
+        if not 0.0 < self.alpha < np.inf:
+            raise ContractViolation("Gilbert damping alpha must be positive and finite")
+        if not np.isfinite(self.h_zeeman):
+            raise ContractViolation("Zeeman constant h must be finite")
         object.__setattr__(self, "m", _read_only(arr))
 
     @cached_property

@@ -200,10 +200,7 @@ def avg_B_to_nodes(em: EMFieldPair) -> VectorField3:
 
 def em_energy(em: EMFieldPair) -> float:
     """Plain energy functional 1/2 (eps_r ||E||^2 + ||B||^2 / mu_r)."""
-    cv = em.grid.cell_volume
-    return float(
-        0.5 * (em.eps_r * np.sum(em.E.values**2) + np.sum(em.B.values**2) / em.mu_r) * cv
-    )
+    return em_energy_leapfrog(em.E.values, em.B.values, em.B.values, em.eps_r, em.mu_r, em.grid)
 
 
 def em_energy_leapfrog(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
-from .config import RunConfig, _parse_float
+from .config import RunConfig
 from .coupler import SimState, advance, make_initial_state
 from .errors import ConfigError, ContractViolation, DegenerateSliceError
 from .grid import PeriodicGrid, l2_norm
@@ -19,7 +19,7 @@ from .kinetic import (
     sample_initial,
 )
 from .magnetization import LLCoefficients, dt_max
-from .maxwell import EMMode, cfl_limit, div_b_norm, gauss_residual, init_compatible
+from .maxwell import cfl_limit, div_b_norm, gauss_residual, init_compatible
 from .smoothing import Mollifier, mollify
 from .snapshots import write_snapshot
 from .textures import make_texture
@@ -61,30 +61,6 @@ def f0_spec_from_config(cfg: RunConfig, box_lengths) -> object:
     raise ConfigError(f"unknown kinetic.f0.kind {kind!r}")
 
 
-def parse_modes(text: str) -> tuple[EMMode, ...]:
-    """Modes are 'nx,ny,nz,amplitude[,polarization]' entries joined by ';'."""
-    modes = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(",")]
-        if len(parts) not in (4, 5):
-            raise ConfigError(f"bad em.init_modes entry {chunk!r}")
-        try:
-            n = (int(parts[0]), int(parts[1]), int(parts[2]))
-            amp = _parse_float(parts[3])
-            pol = int(parts[4]) if len(parts) == 5 else 0
-        except ValueError as err:
-            raise ConfigError(f"bad em.init_modes entry {chunk!r}: {err}") from err
-        if n == (0, 0, 0):
-            raise ConfigError(f"bad em.init_modes entry {chunk!r}: zero wavevector")
-        if pol not in (0, 1):
-            raise ConfigError(f"bad em.init_modes entry {chunk!r}: polarization must be 0 or 1")
-        modes.append(EMMode(n, amp, pol))
-    return tuple(modes)
-
-
 def build_state(cfg: RunConfig) -> SimState:
     v = cfg.values
     grid = PeriodicGrid(cfg.grid_shape(), cfg.box_lengths())
@@ -112,7 +88,7 @@ def build_state(cfg: RunConfig) -> SimState:
     # carries the smoothed charge: div(eps_r E0) = K_eps rho0.
     rho0, _ = deposit(particles, grid)
     rho0_s = mollify(rho0, mollifier)
-    em = init_compatible(rho0_s, parse_modes(v["em.init_modes"]), v["em.eps_r"], v["em.mu_r"])
+    em = init_compatible(rho0_s, v["em.init_modes"], v["em.eps_r"], v["em.mu_r"])
     coeffs = LLCoefficients.from_alpha(v["llg.alpha"], v["llg.stabilizer_c"])
     return make_initial_state(mf, particles, em, mollifier, coeffs, rho0)
 
@@ -184,13 +160,13 @@ def _write_snapshots(state: SimState, outdir: Path, tag: str) -> None:
 
 def run_simulation(cfg: RunConfig, output_dir=None) -> SimState:
     """Execute run.n_steps coupled steps, writing ledger.csv and snapshots."""
+    state = build_state(cfg)
+    dt = validate_dt(cfg, state)
     outdir = Path(output_dir if output_dir is not None else cfg.values["run.output_dir"])
-    try:
+    try:  # after set-up, so that a configuration error leaves no directory behind
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"cannot create output directory {outdir}: {err}") from err
-    state = build_state(cfg)
-    dt = validate_dt(cfg, state)
     n_steps = cfg.values["run.n_steps"]
     every = cfg.values["run.snapshot_every"]
     diagnostics = cfg.values["run.topology_diagnostics"]

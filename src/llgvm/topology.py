@@ -153,7 +153,7 @@ class TopologyReport:
 
 
 def topology_report(mf: MagnetizationField) -> TopologyReport:
-    """Full diagnostic bundle; degenerate slices are reported as NaN."""
+    """Full diagnostic bundle; NaN per degenerate slice, and in the potential's entries if b is refused."""
     slices = []
     for z in range(mf.grid.n_cells[2]):
         try:
@@ -161,11 +161,14 @@ def topology_report(mf: MagnetizationField) -> TopologyReport:
         except DegenerateSliceError:
             slices.append((z, float("nan")))
     b = compute_b(mf)
-    a = vector_potential(b)
-    hel = l2_inner(a, b)
+    try:
+        a = vector_potential(b)
+        hel, gauge = l2_inner(a, b), l2_norm(div(a))
+    except ContractViolation:
+        hel = gauge = float("nan")
     return TopologyReport(
         skyrmion_number_per_slice=tuple(slices),
         helicity=hel,
         hopf_invariant=hel / FOUR_PI**2,
-        gauge_residual=l2_norm(div(a)),
+        gauge_residual=gauge,
     )

@@ -43,6 +43,14 @@ def random_unit_mf(grid, seed, amplitude=0.05, k_cut=1, h=0.5, alpha=0.1):
     return MagnetizationField(grid, random_smooth_unit(grid, seed, amplitude, k_cut), h, alpha)
 
 
+def checkerboard(grid):
+    """m = (0, 0, (-1)^(i+j)): every plaquette of every z-slice is degenerate."""
+    i, j = np.indices(grid.shape)[:2]
+    vals = np.zeros((3, *grid.shape))
+    vals[2] = (-1.0) ** (i + j)
+    return vals
+
+
 def rewrite_snapshot_header(src, dst, dims=None, box=None):
     """Copy a snapshot with new header dims and/or box lengths; the CRC covers only the payload."""
     raw = src.read_bytes()

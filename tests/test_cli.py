@@ -8,7 +8,10 @@ import pytest
 
 from llgvm import PeriodicGrid, cli, selftest
 from llgvm.errors import BlowUpError
+from llgvm.magnetization import MagnetizationField
 from llgvm.maxwell import cfl_limit
+from llgvm.snapshots import write_snapshot
+from llgvm.textures import hopfion
 
 from conftest import rewrite_snapshot_header, rewrite_snapshot_payload
 
@@ -119,6 +122,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert "cannot create output directory" in err and str(out) in err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "kinetic.n_particles = 0\nrun.dt = 1.0",
+            "kinetic.n_particles = 0\nem.init_modes = 0,0,0,1",
+            "kinetic.n_particles = 2\nkinetic.f0.kind = delta",
+            "kinetic.n_particles = 0\nllg.initial = hopfion\nllg.init_radius = 5.0",
+        ],
+        ids=["unstable-dt", "bad-mode", "delta-with-two", "radius-too-large"],
+    )
+    def test_config_error_leaves_no_output_dir(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"grid.n = 8\ngrid.box = 8.0\nrun.n_steps = 1\n{line}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--output", str(out)]) == cli.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_blow_up_exit_code(self, tmp_path, monkeypatch):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 0\nrun.n_steps = 1\nrun.dt = 1e-4\n")
@@ -152,6 +173,16 @@ class TestDiag:
         assert abs(float(fields["hopf_invariant"]) - 1.0) < 1e-2
         rows = read_ledger(csv_out)
         assert len(rows) == 48
+
+    def test_topology_report_when_the_potential_is_refused(self, tmp_path, capsys, grid32):
+        # a 32^3 hopfion's b is not solenoidal to the curl inversion's bound
+        snap = tmp_path / "m.snap"
+        write_snapshot(MagnetizationField(grid32, hopfion(grid32), 0.5, 0.1), snap, "m")
+        csv_out = tmp_path / "slices.csv"
+        assert cli.main(["diag", "topology", str(snap), "--csv", str(csv_out)]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["helicity = nan", "hopf_invariant = nan", "gauge_residual = nan"]
+        assert len(lines) == 3 + 32 and len(read_ledger(csv_out)) == 32
 
     def test_energy_report(self, finished_run, capsys):
         code = cli.main(["diag", "energy", str(finished_run / "m_final.snap")])

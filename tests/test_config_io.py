@@ -11,7 +11,7 @@ from llgvm.config import SCHEMA, default_config, parse_config, parse_config_text
 from llgvm.errors import ConfigError, SnapshotError
 from llgvm.kinetic import ParticleEnsemble
 from llgvm.magnetization import MagnetizationField
-from llgvm.runner import parse_modes
+from llgvm.maxwell import EMMode
 from llgvm.textures import hopfion, random_smooth_unit
 
 from conftest import BOX, band_limited_vector, rewrite_snapshot_header, rewrite_snapshot_payload
@@ -45,13 +45,14 @@ class TestConfigParsing:
             parse_config_text("grid.m = 32\n")
 
     def test_all_errors_collected(self):
-        text = "grid.n = 33\nllg.alpha = -1\nbogus.key = 1\nem.eps_r = 0.5\n"
+        text = "grid.n = 33\nllg.alpha = -1\nbogus.key = 1\nem.eps_r = 0.5\nem.init_modes = 0,0,0,1\n"
         with pytest.raises(ConfigError) as err:
             parse_config_text(text)
         message = str(err.value)
         assert "grid.n" in message
         assert "bogus.key" in message
         assert "em.eps_r" in message
+        assert "<string>:5: bad value for em.init_modes: bad em.init_modes entry '0,0,0,1'" in message
 
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -99,8 +100,28 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("entry", ["1,0,0,nan", "1,0,0,-inf", "0,0,0,1.0", "1,0,0,0.1,2", "1,1,0,0.1,7"])
     def test_bad_em_mode_rejected(self, entry):
-        with pytest.raises(ConfigError, match="bad em.init_modes entry"):
-            parse_modes(f"0,1,1,0.5; {entry}")
+        with pytest.raises(ConfigError, match="<string>:1: bad value for em.init_modes: bad em.init_modes entry"):
+            parse_config_text(f"em.init_modes = 0,1,1,0.5; {entry}\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("run.topology_diagnostics = maybe", "bad value for run.topology_diagnostics: not a boolean"),
+            ("kinetic.f0.center = 1,2", "bad value for kinetic.f0.center: expected three"),
+            ("llg.initial = vortex", "llg.initial = 'vortex': choose one of"),
+            ("kinetic.f0.kind = kappa", "kinetic.f0.kind = 'kappa': choose one of"),
+            ("mollifier.epsilon = -1", "mollifier.epsilon must be positive"),
+        ],
+        ids=["not-a-boolean", "two-number-triple", "unknown-texture", "unknown-f0-kind", "negative-epsilon"],
+    )
+    def test_bad_value_rejected(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(f"grid.n = 8\n{line}\n")
+
+    def test_em_modes_parse_to_modes(self):
+        cfg = parse_config_text("em.init_modes = 1,2,0,0.5; ;0,1,1,0.25,1;\n")
+        assert cfg["em.init_modes"] == (EMMode((1, 2, 0), 0.5, 0), EMMode((0, 1, 1), 0.25, 1))
+        assert default_config()["em.init_modes"] == ()
 
     @pytest.mark.parametrize("key", ["run.seed", "kinetic.seed"])
     def test_negative_seed_rejected(self, key):
@@ -234,8 +255,10 @@ class TestSnapshots:
             ("m", 1, -0.1, "alpha must be positive"),
             ("E", 10, np.nan, "NaN"),
             ("particles", 6, -1.0, "non-negative"),  # the weight of particle 0
+            ("m", 1, np.nan, "alpha must be positive"),
+            ("m", 0, np.inf, "h must be finite"),
         ],
-        ids=["m-not-unit", "alpha-not-positive", "nan-field-value", "negative-weight"],
+        ids=["m-not-unit", "alpha-not-positive", "nan-field-value", "negative-weight", "alpha-nan", "h-inf"],
     )
     def test_payload_failing_its_object_checks(self, grid16, tmp_path, kind, index, value, message):
         rng = np.random.default_rng(8)

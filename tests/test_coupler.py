@@ -5,15 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from llgvm import Mollifier, ScalarField, coupler, l2_norm, mollify
+from llgvm import Mollifier, PeriodicGrid, ScalarField, coupler, l2_norm, mollify
 from llgvm.config import parse_config_text
 from llgvm.coupler import advance, energy_audit, make_initial_state, total_force_fields
 from llgvm.errors import ConfigError, LLGVMError, TimeStepError
 from llgvm.kinetic import ParticleEnsemble, deposit
-from llgvm.magnetization import MagnetizationField, dt_max, step
+from llgvm.magnetization import LLCoefficients, MagnetizationField, dt_max, step
 from llgvm.maxwell import cfl_limit, init_compatible, step_fields
 from llgvm.runner import LEDGER_COLUMNS, build_state, ledger_row, run_simulation, validate_dt
 from llgvm.textures import skyrmion_tube, uniform_texture
+
+from conftest import checkerboard
 
 H, ALPHA = 0.5, 0.1
 
@@ -22,7 +24,8 @@ def bare_state(grid, m_values):
     mf = MagnetizationField(grid, m_values, H, ALPHA)
     em = init_compatible(ScalarField.zeros(grid))
     mol = Mollifier.build(grid, 4.0 * grid.spacing[0])
-    return make_initial_state(mf, ParticleEnsemble.empty(), em, mol)
+    coeffs = LLCoefficients.from_alpha(ALPHA)
+    return make_initial_state(mf, ParticleEnsemble.empty(), em, mol, coeffs, ScalarField.zeros(grid))
 
 
 def _same_row(a, b):
@@ -170,9 +173,15 @@ class TestLedger:
         from llgvm.coupler import EnergyLedger
 
         with pytest.raises(LLGVMError):
-            EnergyLedger(-1.0, 0.0, 0.0, 0.0, 0.0).validate()
+            EnergyLedger(-1.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(LLGVMError):
-            EnergyLedger(0.0, float("nan"), 0.0, 0.0, 0.0).validate()
+            EnergyLedger(0.0, float("nan"), 0.0, 0.0, 0.0)
+
+    def test_degenerate_mid_slice_reads_nan(self):
+        grid = PeriodicGrid.cubic(8, 8.0)
+        row = ledger_row(bare_state(grid, checkerboard(grid)))
+        assert np.isnan(row["Q_mid_slice"]) and np.isnan(row["hopf"])  # not localized either
+        assert all(np.isfinite(row[c]) for c in LEDGER_COLUMNS if c not in ("Q_mid_slice", "hopf"))
 
     def test_diagnostics_off_blanks_only_the_diagnostic_columns(self, tmp_path):
         # a 48^3 hopfion is the smallest bundled texture whose Hopf column is
@@ -218,6 +227,26 @@ class TestLedger:
         rho_raw, _ = deposit(state.particles, state.mf.grid)
         rho = mollify(rho_raw, state.mollifier)
         assert gauss_residual(state.em, rho) / l2_norm(rho) < 1e-2
+
+
+class TestBuildState:
+    @pytest.mark.parametrize(
+        "lines, count, kinetic",
+        [
+            ("kinetic.f0.kind = uniform_maxwellian\nkinetic.n_particles = 300\n", 300, None),
+            ("kinetic.f0.kind = delta\nkinetic.n_particles = 1\nkinetic.f0.velocity = 0.5,0,0\n", 1, 0.125),
+        ],
+        ids=["uniform_maxwellian", "delta"],
+    )
+    def test_f0_kind(self, lines, count, kinetic):
+        state = build_state(parse_config_text(f"grid.n = 8\ngrid.box = 8.0\n{lines}"))
+        p = state.particles
+        assert p.count == count and p.total_mass == pytest.approx(1.0, rel=1e-14)
+        assert np.all(p.positions >= 0.0) and np.all(p.positions < 8.0)
+        assert state.rho.values.sum() * state.mf.grid.cell_volume == pytest.approx(-1.0, rel=1e-12)
+        if kinetic is not None:
+            assert np.array_equal(p.positions[:, 0], [4.0, 4.0, 4.0])  # the box center
+            assert state.ledger.kinetic == kinetic
 
 
 class TestValidateDt:

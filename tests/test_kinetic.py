@@ -264,6 +264,13 @@ class TestLorentzPush:
         with pytest.warns(RuntimeWarning):
             lorentz_push(p, VectorField3.zeros(grid16), bfield, 0.1)
 
+    def test_empty_ensemble_pushes_to_empty_without_a_warning(self, grid16):
+        bfield = VectorField3.constant(grid16, (0.0, 0.0, 30.0))  # would warn for any particle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = lorentz_push(ParticleEnsemble.empty(), VectorField3.zeros(grid16), bfield, 0.1)
+        assert p.count == 0 and p.positions.shape == p.velocities.shape == (3, 0)
+
     @pytest.mark.parametrize("dt", [np.nan, np.inf])
     def test_non_finite_dt_rejected(self, grid16, dt):
         p = sample_initial(UniformMaxwellian(0.4), 8, 1, grid16)

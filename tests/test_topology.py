@@ -24,7 +24,7 @@ from llgvm.errors import ContractViolation, DegenerateSliceError
 from llgvm.magnetization import MagnetizationField
 from llgvm.textures import hopfion, mirror_z, skyrmion_tube, uniform_texture
 
-from conftest import BOX, band_limited_scalar, band_limited_vector, rel_l2
+from conftest import BOX, band_limited_scalar, band_limited_vector, checkerboard, rel_l2
 
 H, ALPHA = 0.5, 0.1
 
@@ -215,3 +215,20 @@ class TestTopologyReport:
         assert report.hopf_invariant == pytest.approx(report.helicity / (4 * np.pi) ** 2)
         assert report.gauge_residual < 1e-10
         assert len(report.lines()) == grid32.n_cells[2] + 3
+
+    def test_refused_potential_reads_nan_and_keeps_the_slices(self, grid32):
+        # a 32^3 hopfion's b is not solenoidal to the inversion's 1e-6 bound
+        mf = MagnetizationField(grid32, hopfion(grid32), H, ALPHA)
+        with pytest.raises(ContractViolation, match="not solenoidal"):
+            vector_potential(compute_b(mf))
+        report = topology_report(mf)
+        assert np.isnan([report.helicity, report.hopf_invariant, report.gauge_residual]).all()
+        assert [z for z, _ in report.skyrmion_number_per_slice] == list(range(32))
+        assert np.isfinite([q for _, q in report.skyrmion_number_per_slice]).all()
+        assert report.lines()[:3] == ["helicity = nan", "hopf_invariant = nan", "gauge_residual = nan"]
+
+    def test_degenerate_slices_read_nan(self):
+        grid = PeriodicGrid.cubic(8, 8.0)
+        report = topology_report(MagnetizationField(grid, checkerboard(grid), H, ALPHA))
+        assert len(report.skyrmion_number_per_slice) == 8
+        assert np.isnan([q for _, q in report.skyrmion_number_per_slice]).all()
