@@ -12,7 +12,10 @@ field, quantifies what time centering leaves behind.
 The emergent electric field entering the particle force lags one step (the
 last computed half-step value), which keeps the update explicit.  Without
 particles there is no force to gather and no current: those phases are
-skipped and both field solvers run source-free.
+skipped and both field solvers run source-free.  The Maxwell fields then
+stay zero unless em.init_modes seeds them; once every bit is zero,
+step_fields returns them unchanged and their ledger terms read 0.0 without
+being computed (see maxwell).
 """
 
 from __future__ import annotations
@@ -53,7 +56,13 @@ class EnergyLedger:
 
 
 def kinetic_energy(p: ParticleEnsemble) -> float:
-    return float(0.5 * np.sum(p.weights * np.sum(p.velocities**2, axis=0)))
+    """1/2 sum w |v|^2, with |v|^2 summed in one n-array in the order vx, vy, vz."""
+    v = p.velocities
+    wv2 = v[0] * v[0]
+    wv2 += v[1] * v[1]
+    wv2 += v[2] * v[2]
+    wv2 *= p.weights
+    return float(0.5 * np.sum(wv2))
 
 
 @dataclass(frozen=True, eq=False)

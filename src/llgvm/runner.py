@@ -112,13 +112,15 @@ def ledger_row(state: SimState, diagnostics: bool = True) -> dict:
     led = state.ledger
     gauss = q_mid = hopf = float("nan")
     if diagnostics:
-        rho = state.rho  # the step's deposit; zero without particles
-        if state.particles.count:
-            rho = mollify(rho, state.mollifier)  # the constraint carries K_eps rho
-        rho_norm = l2_norm(rho)
-        gauss = gauss_residual(state.em, rho)
-        if rho_norm > 0.0:
-            gauss /= rho_norm
+        gauss = 0.0  # no charge and bitwise zero fields: the residual is known
+        if state.particles.count or not state.em.is_zero:
+            rho = state.rho  # the step's deposit; zero without particles
+            if state.particles.count:
+                rho = mollify(rho, state.mollifier)  # the constraint carries K_eps rho
+            rho_norm = l2_norm(rho)
+            gauss = gauss_residual(state.em, rho)
+            if rho_norm > 0.0:
+                gauss /= rho_norm
         try:
             q_mid = skyrmion_number(state.mf, state.mf.grid.n_cells[2] // 2)
         except DegenerateSliceError:

@@ -148,7 +148,8 @@ class TestRun:
             raise BlowUpError("synthetic blow-up")
 
         monkeypatch.setattr("llgvm.runner.advance", explode)
-        assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_RUNTIME
+        args = ["run", "--config", str(cfg), "--output", str(tmp_path / "out")]
+        assert cli.main(args) == cli.EXIT_RUNTIME
 
 
 @pytest.fixture(scope="module")

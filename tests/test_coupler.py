@@ -1,17 +1,24 @@
 """Full coupled step, energy ledger, and the cross-term audit."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from llgvm import Mollifier, PeriodicGrid, ScalarField, coupler, l2_norm, mollify
+from llgvm import Mollifier, PeriodicGrid, ScalarField, coupler, l2_norm, maxwell, mollify, runner
 from llgvm.config import parse_config_text
-from llgvm.coupler import advance, energy_audit, make_initial_state, total_force_fields
+from llgvm.coupler import (
+    advance,
+    energy_audit,
+    kinetic_energy,
+    make_initial_state,
+    total_force_fields,
+)
 from llgvm.errors import ConfigError, LLGVMError, TimeStepError
 from llgvm.kinetic import ParticleEnsemble, deposit
 from llgvm.magnetization import LLCoefficients, MagnetizationField, dt_max, step
-from llgvm.maxwell import cfl_limit, init_compatible, step_fields
+from llgvm.maxwell import EMFieldPair, cfl_limit, init_compatible, step_fields
 from llgvm.runner import LEDGER_COLUMNS, build_state, ledger_row, run_simulation, validate_dt
 from llgvm.textures import skyrmion_tube, uniform_texture
 
@@ -286,3 +293,68 @@ class TestValidateDt:
             runner.append(accepts(lambda: validate_dt(cfg, state), ConfigError))
             solo.append(accepts(lambda: solver(float(dt)), TimeStepError))
         assert runner == solo == expected
+
+
+class TestZeroMaxwellSector:
+    PARTICLE_FREE = "grid.n = 16\nkinetic.n_particles = 0\nrun.dt = 1e-4\n"
+
+    def test_particle_free_run_keeps_one_zero_pair(self, monkeypatch):
+        cfg = parse_config_text(self.PARTICLE_FREE)
+        state = build_state(cfg)
+        dt = validate_dt(cfg, state)
+        # init_compatible of zero charge returns -0.0, so step 1 takes the full path
+        assert np.signbit(state.em.E.values).all() and not state.em.is_zero
+        curl = maxwell._curl
+        calls = []
+        monkeypatch.setattr(maxwell, "_curl", lambda *args: calls.append(1) or curl(*args))
+        per_step, pairs = [], []
+        for _ in range(4):
+            before = len(calls)
+            state = advance(state, dt)
+            per_step.append(len(calls) - before)
+            pairs.append(state.em)
+            assert not np.signbit(state.em.E.values).any()
+            assert not np.signbit(state.em.B.values).any()
+        assert per_step == [2, 0, 0, 0]
+        assert all(em is pairs[0] for em in pairs)
+
+        def unexpected(*args):
+            raise AssertionError("the Gauss residual of a zero sector is known")
+
+        monkeypatch.setattr(runner, "gauss_residual", unexpected)
+        monkeypatch.setattr(runner, "l2_norm", unexpected)
+        row = ledger_row(state)
+        assert row["gauss_residual"] == row["divB"] == row["em"] == 0.0
+
+    def test_particle_free_run_with_modes_changes_e_every_step(self):
+        cfg = parse_config_text(self.PARTICLE_FREE + "em.init_modes = 1,0,0,0.1\n")
+        state = build_state(cfg)
+        dt = validate_dt(cfg, state)
+        for _ in range(4):
+            new = advance(state, dt)
+            assert not np.array_equal(new.em.E.values, state.em.E.values)
+            assert new.ledger.em_energy > 0.0
+            state = new
+
+    def test_outputs_match_the_full_path_byte_for_byte(self, tmp_path, monkeypatch):
+        cfg_text = (
+            "grid.n = 16\nllg.initial = hopfion\nllg.init_radius = 7.0\n"
+            "kinetic.n_particles = 0\nrun.dt = 1e-5\nrun.n_steps = 4\nrun.snapshot_every = 1\n"
+        )
+
+        def digests(outdir):
+            run_simulation(parse_config_text(cfg_text), outdir)
+            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outdir.iterdir()}
+
+        skipped = digests(tmp_path / "skipped")
+        monkeypatch.setattr(EMFieldPair, "is_zero", property(lambda self: False))
+        full = digests(tmp_path / "full")
+        assert len(full) == 6 * 6 + 1  # six kinds at steps 0..4 and final, plus the ledger
+        assert skipped == full
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_kinetic_energy_equals_the_squared_velocity_sum(n):
+    rng = np.random.default_rng(n)
+    p = ParticleEnsemble(rng.random((3, n)), rng.standard_normal((3, n)), rng.random(n))
+    assert kinetic_energy(p) == float(0.5 * np.sum(p.weights * np.sum(p.velocities**2, axis=0)))

@@ -21,6 +21,7 @@ from llgvm.maxwell import (
     div_b_norm,
     div_edge,
     em_energy,
+    em_energy_leapfrog,
 )
 from llgvm.selftest import leapfrog_energy_drift
 
@@ -119,10 +120,11 @@ class TestStepFields:
             step_fields(EMFieldPair.zeros(grid16), None, dt)
 
     def test_zero_state_stays_zero(self, grid16):
+        # every bit is zero, so the source-free step returns its input
         em = EMFieldPair.zeros(grid16)
-        em = step_fields(em, None, 0.5 * cfl_limit(grid16, 1.0, 1.0))
-        assert np.abs(em.E.values).max() == 0.0
-        assert np.abs(em.B.values).max() == 0.0
+        assert em.is_zero
+        assert step_fields(em, None, 0.5 * cfl_limit(grid16, 1.0, 1.0)) is em
+        assert em_energy(em) == 0.0 and div_b_norm(em) == 0.0
 
     def test_uniform_current_drives_linear_e(self, grid16):
         # with B = 0 and spatially uniform j the curl terms vanish identically
@@ -188,9 +190,52 @@ class TestStepFields:
         assert speed_error <= 1.05 * bound
 
     def test_cfl_refusal(self, grid16):
+        # at and above the bound: the zero pair's shortcut comes after both dt checks
         em = EMFieldPair.zeros(grid16)
-        with pytest.raises(TimeStepError):
-            step_fields(em, None, 1.01 * cfl_limit(grid16, 1.0, 1.0))
+        for factor in (1.0, 1.01):
+            with pytest.raises(TimeStepError):
+                step_fields(em, None, factor * cfl_limit(grid16, 1.0, 1.0))
+
+
+def yee_reference(em, dt):
+    """The leapfrog update written out, as in test_leapfrog_step_uses_both_curls."""
+    b = em.B.values - dt * roll_curl(em.E.values, em.grid, fwd_diff)
+    e = em.E.values + (dt / em.eps_r) * roll_curl(b, em.grid, bwd_diff) / em.mu_r
+    return e, b
+
+
+def bits(values):
+    return values.view(np.uint64)
+
+
+class TestZeroSector:
+    def test_fields_are_frozen(self, grid16):
+        # is_zero is computed once per pair
+        em = EMFieldPair.zeros(grid16)
+        for values in (em.E.values, em.B.values):
+            with pytest.raises(ValueError):
+                values[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("field", ["E", "B"])
+    @pytest.mark.parametrize("fill", ["negative_zero", "tiny", "subnormal"])
+    def test_any_set_bit_takes_the_full_yee_step(self, grid16, field, fill):
+        vals = np.zeros((3, *grid16.shape))
+        if fill == "negative_zero":
+            vals[:] = -0.0
+        else:
+            vals[1, 3, 5, 7] = 1e-170 if fill == "tiny" else 1e-310
+        zero = VectorField3.zeros(grid16)
+        given = VectorField3(grid16, vals)
+        em = EMFieldPair(given, zero, 1.0, 1.0) if field == "E" else EMFieldPair(zero, given, 1.0, 1.0)
+        assert not em.is_zero
+        # each square underflows, so the energy cannot tell these fields from zero
+        assert em_energy_leapfrog(vals, vals, vals, 1.0, 1.0, grid16) == 0.0
+        dt = 0.4 * cfl_limit(grid16, 1.0, 1.0)
+        out = step_fields(em, None, dt)
+        e_ref, b_ref = yee_reference(em, dt)
+        assert out is not em
+        assert np.array_equal(bits(out.E.values), bits(e_ref))
+        assert np.array_equal(bits(out.B.values), bits(b_ref))
 
 
 class TestAveraging:
