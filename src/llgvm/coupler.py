@@ -12,10 +12,12 @@ field, quantifies what time centering leaves behind.
 The emergent electric field entering the particle force lags one step (the
 last computed half-step value), which keeps the update explicit.  Without
 particles there is no force to gather and no current: those phases are
-skipped and both field solvers run source-free.  The Maxwell fields then
-stay zero unless em.init_modes seeds them; once every bit is zero,
-step_fields returns them unchanged and their ledger terms read 0.0 without
-being computed (see maxwell).
+skipped and both field solvers run source-free.  Nothing in such a step reads
+e, so the step only checks the motion that e would refuse and leaves e to
+its first reader, a snapshot (EmergentFieldPair.deferred).  The Maxwell
+fields then stay zero unless em.init_modes seeds them; once every bit is
+zero, step_fields returns them unchanged and their ledger terms read 0.0
+without being computed (see maxwell).
 """
 
 from __future__ import annotations
@@ -142,8 +144,15 @@ def advance(state: SimState, dt: float) -> SimState:
         rho, j = _phase(state, "deposit", deposit, particles, grid)
         j_s = _phase(state, "mollify", mollify, j, state.mollifier)
     mf_new = _phase(state, "llg", step, state.mf, j_s, dt, state.ll_coeffs)
-    e_half = _phase(state, "emergent", compute_e, state.mf, mf_new, dt)
-    b_new = _phase(state, "emergent", compute_b, mf_new)
+    if particles.count:  # the audit below and the next gather read e
+        e_half = _phase(state, "emergent", compute_e, state.mf, mf_new, dt)
+        emergent = EmergentFieldPair(e_half, _phase(state, "emergent", compute_b, mf_new))
+    else:  # only a snapshot reads e; the pair computes it then
+        e_half = None
+        b_new = _phase(state, "emergent", compute_b, mf_new)
+        emergent = _phase(
+            state, "emergent", EmergentFieldPair.deferred, state.mf, mf_new, dt, b_new
+        )
     em_new = _phase(state, "maxwell", step_fields, state.em, j_s, dt)
 
     dm_rate_sq = float(np.sum((mf_new.m - state.mf.m) ** 2)) * grid.cell_volume / dt**2
@@ -162,7 +171,7 @@ def advance(state: SimState, dt: float) -> SimState:
         mf=mf_new,
         particles=particles,
         em=em_new,
-        emergent=EmergentFieldPair(e_half, b_new),
+        emergent=emergent,
         mollifier=state.mollifier,
         ll_coeffs=state.ll_coeffs,
         ledger=ledger,
@@ -173,7 +182,7 @@ def advance(state: SimState, dt: float) -> SimState:
 def energy_audit(
     em_prev: EMFieldPair,
     em_next: EMFieldPair,
-    e_new: VectorField3,
+    e_new: VectorField3 | None,
     j: VectorField3 | None,
     j_s: VectorField3 | None,
     e_tot: VectorField3 | None,
@@ -182,12 +191,13 @@ def energy_audit(
 
     The arguments are the step's own values: the Maxwell fields before and
     after it, the new emergent electric field e^{n+1/2}, the deposited
-    current j, its smoothing K j and the gathered total K(E + e); j is None
-    when there are no particles.  The three pairings are the kinetic gain
-    <j, K(E + e)> with the fields as gathered (previous E, lagged e), the
-    Maxwell loss -<K j, (E^n + E^{n+1})/2> and the magnetization loss
-    -<K j, e^{n+1/2}>.  Smoothing is self-adjoint to rounding, so the sum
-    isolates the time-centering error, which is first order in dt.
+    current j, its smoothing K j and the gathered total K(E + e); e_new and
+    j are None when there are no particles.  The three pairings are the
+    kinetic gain <j, K(E + e)> with the fields as gathered (previous E,
+    lagged e), the Maxwell loss -<K j, (E^n + E^{n+1})/2> and the
+    magnetization loss -<K j, e^{n+1/2}>.  Smoothing is self-adjoint to
+    rounding, so the sum isolates the time-centering error, which is first
+    order in dt.
     """
     if j is None:
         return 0.0

@@ -16,8 +16,6 @@ e_i = m_mid . (d_i u x dt m)/|u|, exact in the continuum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BlowUpError, ContractViolation
@@ -43,8 +41,12 @@ def compute_b(mf: MagnetizationField) -> VectorField3:
     return VectorField3(mf.grid, _triple_products(mf.m, pairs))
 
 
-def compute_e(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: float) -> VectorField3:
-    """Emergent electric field at the midpoint time, read from both states' cached partials."""
+def _midpoint_sum(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: float):
+    """u = m_prev + m_next and |u|^2, after compute_e's checks on its arguments.
+
+    A node with |u| < 0.5 moved nearly antipodally in one step, which the
+    midpoint cannot resolve: that is a BlowUpError.
+    """
     if mf_prev.grid != mf_next.grid:
         raise ContractViolation("magnetization states live on different grids")
     if not 0.0 < dt < np.inf:
@@ -57,6 +59,12 @@ def compute_e(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: floa
             f"antipodal magnetization motion (|m_prev + m_next| = {low:.3e} < 0.5);"
             " the time step is too large for the field motion"
         )
+    return total, norms2
+
+
+def compute_e(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: float) -> VectorField3:
+    """Emergent electric field at the midpoint time, read from both states' cached partials."""
+    total, norms2 = _midpoint_sum(mf_prev, mf_next, dt)
     total /= norms2  # u/|u|^2 = m_mid/|u|, the chain-rule factor
     dm_dt = (mf_next.m - mf_prev.m) / dt
     du = np.empty_like(total)  # holds each d_i u until the next one overwrites it
@@ -64,12 +72,38 @@ def compute_e(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: floa
     return VectorField3(mf_prev.grid, _triple_products(total, pairs))
 
 
-@dataclass(frozen=True, eq=False)
 class EmergentFieldPair:
-    """e at half-step times and b at node points, recomputed from m each step."""
+    """e at half-step times and b at node points, recomputed from m each step.
 
-    e: VectorField3
-    b: VectorField3
+    A pair made by ``deferred`` runs compute_e's checks at once, so a step
+    with antipodal motion fails in that step, but computes e only on its first
+    read and then keeps it.  It holds the previous state's m array, not the
+    state, whose cached spectrum and partials may then be freed; the read
+    rebuilds that state as mf_next.with_m(m_prev), which retakes them, so e is
+    bitwise the value compute_e gives at once.
+    """
+
+    def __init__(self, e: VectorField3, b: VectorField3):
+        self._e = e
+        self._pending = None
+        self.b = b
+
+    @classmethod
+    def deferred(
+        cls, mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: float, b: VectorField3
+    ) -> "EmergentFieldPair":
+        _midpoint_sum(mf_prev, mf_next, dt)
+        pair = cls(None, b)
+        pair._pending = (mf_prev.m, mf_next, dt)
+        return pair
+
+    @property
+    def e(self) -> VectorField3:
+        if self._pending is not None:
+            m_prev, mf_next, dt = self._pending
+            self._e = compute_e(mf_next.with_m(m_prev), mf_next, dt)
+            self._pending = None
+        return self._e
 
     @classmethod
     def at_rest(cls, mf: MagnetizationField) -> "EmergentFieldPair":

@@ -191,7 +191,9 @@ def _cic_corners(grid: PeriodicGrid, positions: np.ndarray):
     lower = np.floor(frac)
     frac -= lower
     i0 = lower.astype(np.int64)
-    i0 %= n
+    for row, size in zip(i0, grid.n_cells):  # a row that _wrap left in [0, n) needs no %
+        if npart and not (0 <= row.min() and row.max() < size):
+            np.remainder(row, size, out=row)
     i1 = i0 + 1
     i1[i1 == n] = 0
     stride = np.array([[ny * nz], [nz], [1]])

@@ -1,12 +1,25 @@
 """Full coupled step, energy ledger, and the cross-term audit."""
 
+import gc
 import hashlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from llgvm import Mollifier, PeriodicGrid, ScalarField, coupler, l2_norm, maxwell, mollify, runner
+from llgvm import (
+    Mollifier,
+    PeriodicGrid,
+    ScalarField,
+    coupler,
+    emergent,
+    l2_norm,
+    maxwell,
+    mollify,
+    read_snapshot,
+    runner,
+)
 from llgvm.config import parse_config_text
 from llgvm.coupler import (
     advance,
@@ -15,7 +28,8 @@ from llgvm.coupler import (
     make_initial_state,
     total_force_fields,
 )
-from llgvm.errors import ConfigError, LLGVMError, TimeStepError
+from llgvm.emergent import compute_e
+from llgvm.errors import BlowUpError, ConfigError, LLGVMError, TimeStepError
 from llgvm.kinetic import ParticleEnsemble, deposit
 from llgvm.magnetization import LLCoefficients, MagnetizationField, dt_max, step
 from llgvm.maxwell import EMFieldPair, cfl_limit, init_compatible, step_fields
@@ -351,6 +365,84 @@ class TestZeroMaxwellSector:
         full = digests(tmp_path / "full")
         assert len(full) == 6 * 6 + 1  # six kinds at steps 0..4 and final, plus the ledger
         assert skipped == full
+
+
+class TestDeferredEmergentE:
+    PARTICLE_FREE = (
+        "grid.n = 16\nllg.initial = hopfion\nllg.init_radius = 7.0\n"
+        "kinetic.n_particles = 0\nrun.dt = 1e-5\n"
+    )
+    COUPLED = "grid.n = 16\nkinetic.n_particles = 400\nrun.dt = 5e-4\n"
+
+    @staticmethod
+    def counted_compute_e(monkeypatch):
+        """Count compute_e calls from the coupler and from a deferred pair's first read."""
+        compute_e = emergent.compute_e
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return compute_e(*args)
+
+        monkeypatch.setattr(coupler, "compute_e", counted)
+        monkeypatch.setattr(emergent, "compute_e", counted)
+        return calls
+
+    def test_snapshots_hold_the_eager_e(self, tmp_path):
+        cfg = parse_config_text(self.PARTICLE_FREE + "run.n_steps = 4\nrun.snapshot_every = 1\n")
+        run_simulation(cfg, tmp_path)
+        dt = cfg.values["run.dt"]
+
+        def payload(kind, n):
+            return read_snapshot(tmp_path / f"{kind}_{n:06d}.snap").payload
+
+        assert not payload("e", 0).values.any()  # the pair at rest
+        for n in range(1, 5):
+            e = payload("e", n).values
+            assert e.any()
+            assert np.array_equal(e, compute_e(payload("m", n - 1), payload("m", n), dt).values)
+
+    def test_only_a_read_computes_e(self, monkeypatch):
+        calls = self.counted_compute_e(monkeypatch)
+        cfg = parse_config_text(self.PARTICLE_FREE)
+        state = build_state(cfg)
+        dt = validate_dt(cfg, state)
+        for _ in range(2):
+            prev, state = state, advance(state, dt)
+            ledger_row(state)
+            assert calls == []
+        e = state.emergent.e
+        assert calls == [1] and state.emergent.e is e  # computed once, then kept
+        assert np.array_equal(e.values, compute_e(prev.mf, state.mf, dt).values)
+
+    def test_a_particle_step_computes_e_once(self, monkeypatch):
+        calls = self.counted_compute_e(monkeypatch)
+        cfg = parse_config_text(self.COUPLED)
+        state = build_state(cfg)
+        dt = validate_dt(cfg, state)
+        for step_count in (1, 2):
+            state = advance(state, dt)
+            ledger_row(state)
+            assert state.emergent.e is state.emergent.e  # an eager pair: no further call
+            assert len(calls) == step_count
+
+    def test_antipodal_motion_still_fails_in_its_step(self, monkeypatch):
+        cfg = parse_config_text(self.PARTICLE_FREE)
+        state = build_state(cfg)
+        dt = validate_dt(cfg, state)
+        monkeypatch.setattr(coupler, "step", lambda mf, j, dt, coeffs: mf.with_m(-mf.m))
+        with pytest.raises(BlowUpError, match=r"^step 1 \[emergent\]: antipodal"):
+            advance(state, dt)
+
+    def test_pair_holds_only_the_previous_m(self):
+        cfg = parse_config_text(self.PARTICLE_FREE)
+        state = build_state(cfg)
+        dt = validate_dt(cfg, state)
+        state = advance(state, dt)
+        prev_mf = weakref.ref(state.mf)  # with its cached spectrum and partials
+        state = advance(state, dt)
+        gc.collect()
+        assert prev_mf() is None
 
 
 @pytest.mark.parametrize("n", [10**5, 10**6])

@@ -214,3 +214,25 @@ class TestFaraday:
         pair = EmergentFieldPair.at_rest(mf)
         assert np.abs(pair.e.values).max() == 0.0
         assert l2_norm(div(pair.b)) < 1e-8 * max(l2_norm(pair.b), 1e-300)
+
+
+class TestDeferredPair:
+    def test_first_read_is_compute_e(self, grid16):
+        mf0 = random_unit_mf(grid16, 32, amplitude=0.3, k_cut=2)
+        mf1 = random_unit_mf(grid16, 33, amplitude=0.3, k_cut=2)
+        b = compute_b(mf1)
+        pair = EmergentFieldPair.deferred(mf0, mf1, 0.05, b)
+        assert pair.b is b
+        assert np.array_equal(pair.e.values, compute_e(mf0, mf1, 0.05).values)
+
+    def test_compute_e_checks_run_at_once(self, grid16, grid32):
+        vals = np.zeros((3, *grid16.shape))
+        vals[2] = 1.0
+        up = MagnetizationField(grid16, vals, H, ALPHA)
+        b = compute_b(up)
+        with pytest.raises(BlowUpError, match="antipodal"):
+            EmergentFieldPair.deferred(up, up.with_m(-vals), 1e-3, b)
+        with pytest.raises(ContractViolation, match="different grids"):
+            EmergentFieldPair.deferred(random_unit_mf(grid32, 1), up, 1e-3, b)
+        with pytest.raises(ContractViolation, match="dt must be positive and finite"):
+            EmergentFieldPair.deferred(up, up, np.nan, b)

@@ -362,6 +362,56 @@ class TestWrap:
         self.check([rng.uniform(-length, 2.0 * length, 5000) for length in box], box)
 
 
+class TestCicCorners:
+    GRID = PeriodicGrid((16, 12, 8), NON_CUBIC)
+
+    @staticmethod
+    def reference(grid, positions):
+        """The stencil with every node index row wrapped by %=."""
+        _, ny, nz = grid.n_cells
+        n = np.asarray(grid.n_cells)[:, None]
+        frac = positions / np.asarray(grid.spacing)[:, None]
+        lower = np.floor(frac)
+        frac -= lower
+        i0 = lower.astype(np.int64)
+        i0 %= n
+        nodes, weights = (i0, (i0 + 1) % n), (1.0 - frac, frac)
+        idx, wgt = [], []
+        for bx in (0, 1):
+            for by in (0, 1):
+                for bz in (0, 1):
+                    idx.append((nodes[bx][0] * ny + nodes[by][1]) * nz + nodes[bz][2])
+                    wgt.append(weights[bx][0] * weights[by][1] * weights[bz][2])
+        return np.array(idx), np.array(wgt)
+
+    @staticmethod
+    def positions(at_box_length):
+        rng = np.random.default_rng(12)
+        box = np.asarray(NON_CUBIC)[:, None]
+        pos = rng.random((3, 3000)) * box
+        pos[:, 0] = 0.0
+        pos[:, 1] = np.nextafter(box[:, 0], 0.0)
+        if at_box_length:
+            pos[:, 2] = box[:, 0]  # x = L, which _wrap can leave: index n wraps to 0
+        return pos
+
+    @pytest.mark.parametrize(
+        "at_box_length, axes, shift",
+        [(False, (), 0.0), (True, (), 0.0)]
+        + [(True, (axis,), s) for axis in range(3) for s in (-1.0, 1.0, 2.0)]
+        + [(True, (0, 1, 2), s) for s in (-1.0, 1.0, 2.0)],
+    )
+    def test_bitwise_the_wrap_of_every_row(self, at_box_length, axes, shift):
+        pos = self.positions(at_box_length)
+        for axis in axes:
+            pos[axis] += shift * NON_CUBIC[axis]
+        idx, wgt = kinetic._cic_corners(self.GRID, pos)
+        ref_idx, ref_wgt = self.reference(self.GRID, pos)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(bits(wgt), bits(ref_wgt))
+        assert idx.min() >= 0 and idx.max() < self.GRID.n_nodes
+
+
 class TestChunkedPush:
     # whole multiples of the chunk, one off each side of one, and a remainder
     @pytest.mark.parametrize("n", [1, 4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1, 8 * _CHUNK + 3])

@@ -5,8 +5,11 @@ and an inverse is one in-place ifftn over x and y, on a complex half
 spectrum, plus one irfft over z.  The spectrum and partials of m are taken
 once per state, and nothing transforms a field known to be zero.  The
 LLG rate takes one inverse transform, of (k^4 - k^2) m_hat, the helicity is a
-Parseval sum that takes none, compute_e takes none either (it reads both
-states' cached partials), and no cross product goes through np.cross.  The
+Parseval sum that takes none, and no cross product goes through np.cross.
+compute_e reads both states' cached partials; a step with particles calls it,
+and the new state's spectrum and partials it takes are then compute_b's.  A
+particle-free step leaves e to its first reader, which rebuilds the previous
+state and so takes that state's spectrum and partials again.  The
 particles of a state are deposited once, and the ledger reuses that charge.
 A step builds two CIC stencils per slice of kinetic._CHUNK particles, one
 for the gather at the half-step positions and one for the deposit at the new
@@ -39,6 +42,20 @@ HOPFION48 = (
 COUPLED16 = "grid.n = 16\nkinetic.n_particles = 400\nrun.dt = 5e-4\n"
 
 
+def _logged_transforms(mp):
+    """Log each numpy.fft call as (name, all-zero input, complex input)."""
+    log = []
+    for name in FFT_NAMES:
+        original = getattr(np.fft, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            log.append((_name, not np.any(a), np.iscomplexobj(a)))
+            return _original(a, *args, **kwargs)
+
+        mp.setattr(np.fft, name, counted)
+    return log
+
+
 def _step_and_row(monkeypatch, cfg_text):
     """One advance plus ledger_row from a fresh state.
 
@@ -48,18 +65,10 @@ def _step_and_row(monkeypatch, cfg_text):
     cfg = parse_config_text(cfg_text)
     state = build_state(cfg)
     dt = validate_dt(cfg, state)
-    log = []
     b_calls = []
     crosses = []
     with monkeypatch.context() as mp:
-        for name in FFT_NAMES:
-            original = getattr(np.fft, name)
-
-            def counted(a, *args, _name=name, _original=original, **kwargs):
-                log.append((_name, not np.any(a), np.iscomplexobj(a)))
-                return _original(a, *args, **kwargs)
-
-            mp.setattr(np.fft, name, counted)
+        log = _logged_transforms(mp)
 
         def counted_b(mf):
             b_calls.append(mf)
@@ -103,6 +112,20 @@ def test_step_and_ledger_row_budget(monkeypatch, cfg_text, forward, inverse, hop
     assert np.isfinite(row["hopf"]) == hopf_finite
     if hopf_finite:
         assert round(row["hopf"]) == 1
+
+
+def test_first_read_of_a_particle_free_e(monkeypatch):
+    cfg = parse_config_text(HOPFION16)
+    state = build_state(cfg)
+    state = coupler.advance(state, validate_dt(cfg, state))
+    ledger_row(state)
+    log = _logged_transforms(monkeypatch)
+    state.emergent.e
+    # the previous state's spectrum and partials; the new state's are cached
+    assert [name for name, _, _ in log] == ["rfftn"] + ["ifftn", "irfft"] * 3
+    log.clear()
+    state.emergent.e
+    assert log == []
 
 
 def test_audit_reuses_the_gathered_fields(monkeypatch):
