@@ -12,6 +12,11 @@ each state; dt m is the two-level difference, and m is taken at the renormalized
 midpoint m_mid = u/|u|, u = m_prev + m_next.  As d_i m_mid is d_i u/|u| less a
 part along m_mid, which drops out of the triple product, the chain rule gives
 e_i = m_mid . (d_i u x dt m)/|u|, exact in the continuum.
+
+The triple products and the antipodal check run over the x-slabs of
+grid._slabs, so each slab's operands stay in cache; every node's arithmetic
+is that of a whole-array pass, so the fields are bitwise independent of the
+slab size.
 """
 
 from __future__ import annotations
@@ -19,25 +24,33 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BlowUpError, ContractViolation
-from .grid import VectorField3, _cross
+from .grid import VectorField3, _cross, _slabs
 from .magnetization import MagnetizationField
 
 
 def _triple_products(m: np.ndarray, pairs) -> np.ndarray:
-    """The (3, ...) array of m . (a x b) for the three (a, b) pairs, in one work array."""
+    """The (3, ...) array of m . (a x b) over the three (a, b) pairs that pairs(s) gives.
+
+    pairs(s) gives the operands of x-slab s; one work array per slab holds each cross product.
+    """
     out = np.empty(m.shape)
-    work = np.empty(m.shape)
-    for i, (a, b) in enumerate(pairs):
-        _cross(a, b, out=work)
-        work *= m
-        np.sum(work, axis=0, out=out[i])
+    for s in _slabs(m.shape[1:]):
+        ms = m[:, s]
+        work = np.empty(ms.shape)
+        for i, (a, b) in enumerate(pairs(s)):
+            _cross(a, b, out=work)
+            work *= ms
+            np.sum(work, axis=0, out=out[i, s])
     return out
 
 
 def compute_b(mf: MagnetizationField) -> VectorField3:
     """Emergent magnetic field, node-collocated."""
-    dm = mf.gradient
-    pairs = ((dm[1], dm[2]), (dm[2], dm[0]), (dm[0], dm[1]))
+    dx, dy, dz = mf.gradient
+
+    def pairs(s):
+        return (dy[:, s], dz[:, s]), (dz[:, s], dx[:, s]), (dx[:, s], dy[:, s])
+
     return VectorField3(mf.grid, _triple_products(mf.m, pairs))
 
 
@@ -45,15 +58,20 @@ def _midpoint_sum(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: 
     """u = m_prev + m_next and |u|^2, after compute_e's checks on its arguments.
 
     A node with |u| < 0.5 moved nearly antipodally in one step, which the
-    midpoint cannot resolve: that is a BlowUpError.
+    midpoint cannot resolve: that is a BlowUpError.  Both arrays are written
+    slab by slab, and the check reads the global minimum.
     """
     if mf_prev.grid != mf_next.grid:
         raise ContractViolation("magnetization states live on different grids")
     if not 0.0 < dt < np.inf:
         raise ContractViolation("dt must be positive and finite")
-    total = mf_prev.m + mf_next.m
-    norms2 = np.sum(total**2, axis=0)
-    low = float(np.sqrt(norms2.min()))
+    total = np.empty(mf_prev.m.shape)
+    norms2 = np.empty(mf_prev.grid.shape)
+    low2 = np.inf
+    for s in _slabs(norms2.shape):
+        u = np.add(mf_prev.m[:, s], mf_next.m[:, s], out=total[:, s])
+        low2 = min(low2, np.sum(u**2, axis=0, out=norms2[s]).min())
+    low = float(np.sqrt(low2))
     if low < 0.5:
         raise BlowUpError(
             f"antipodal magnetization motion (|m_prev + m_next| = {low:.3e} < 0.5);"
@@ -67,8 +85,12 @@ def compute_e(mf_prev: MagnetizationField, mf_next: MagnetizationField, dt: floa
     total, norms2 = _midpoint_sum(mf_prev, mf_next, dt)
     total /= norms2  # u/|u|^2 = m_mid/|u|, the chain-rule factor
     dm_dt = (mf_next.m - mf_prev.m) / dt
-    du = np.empty_like(total)  # holds each d_i u until the next one overwrites it
-    pairs = ((np.add(a, b, out=du), dm_dt) for a, b in zip(mf_prev.gradient, mf_next.gradient))
+
+    def pairs(s):
+        du = np.empty(total[:, s].shape)  # each d_i u of the slab, until the next overwrites it
+        grads = zip(mf_prev.gradient, mf_next.gradient)
+        return ((np.add(a[:, s], b[:, s], out=du), dm_dt[:, s]) for a, b in grads)
+
     return VectorField3(mf_prev.grid, _triple_products(total, pairs))
 
 

@@ -18,6 +18,14 @@ and then one ``np.fft.irfft`` over z, bitwise equal to irfftn.
 ``_ifft_real`` and ``_spectral_power`` consume their input: it must be a
 writable array the caller owns, and a read-only one (a cached spectrum)
 raises ValueError untouched.
+
+Real-space chains of node-wise arithmetic (the LLG right-hand side and
+renormalization, the emergent triple products, the |m| checks) run over the
+x-slabs of ``_slabs``, about ``_SLAB_NODES`` nodes each, so that a chain's
+operands stay in cache between its passes.  The result is bitwise that of
+whole-array passes: every node's expression keeps its operands and order,
+and a reduction across nodes is either order-free (min, max, all) or stays
+one np.sum over the whole array.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolation
+
+_SLAB_NODES = 1 << 14  # nodes per x-slab of a real-space chain: three (3, slab) operands fit in L2
 
 
 @dataclass(frozen=True)
@@ -159,6 +169,14 @@ def _along(axis: int, vec: np.ndarray) -> np.ndarray:
     shape = [1, 1, 1]
     shape[axis] = vec.size
     return vec.reshape(shape)
+
+
+def _slabs(shape) -> list[slice]:
+    """Contiguous slices of axis 0 of a grid shape, about _SLAB_NODES nodes each, in order."""
+    n = shape[0]
+    count = min(n, max(1, round(int(np.prod(shape)) / _SLAB_NODES)))
+    ends = [n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
 
 
 def _as_values(values, grid: PeriodicGrid, ncomp: int | None):

@@ -19,6 +19,13 @@ by ll_rhs.  One step of the integrator is first-order IMEX: a
 constant-coefficient biharmonic stabilizer c*bih is treated implicitly
 (diagonal in Fourier space), the rest explicitly with a 2/3-rule dealiased
 right-hand side, followed by node-wise renormalization onto the unit sphere.
+
+The node-wise chains (the rate after its one inverse transform, the
+re-projection, m* and its renormalization, the |m| = 1 check) run over the
+x-slabs of grid._slabs so that their operands stay in cache.  Each node's
+arithmetic is that of a whole-array pass, and the only cross-node reduction
+inside them is a min, max or all, so every result is bitwise independent of the
+slab size; the energy's Parseval sum stays one np.sum.
 """
 
 from __future__ import annotations
@@ -29,18 +36,24 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowUpError, ContractViolation, StateCorruption, TimeStepError
-from .grid import PeriodicGrid, VectorField3, _cross, _fft, _ifft_real, _partials, _spectral_power
+from .grid import (
+    PeriodicGrid, VectorField3, _cross, _fft, _ifft_real, _partials, _slabs, _spectral_power,
+)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
 
 def unit_normalize(values: np.ndarray, blow_up_floor: float | None = None) -> np.ndarray:
-    """Project (3, ...) vectors onto the unit sphere node-wise.
+    """Project (3, ...) vectors onto the unit sphere node-wise, slab by slab.
 
     With blow_up_floor set, a norm below that floor aborts with BlowUpError
-    (the IMEX update collapsed a node vector toward zero).
+    (the IMEX update collapsed a node vector toward zero).  Every norm is
+    taken, and the global minimum checked, before any output is written.
     """
-    norms = np.sqrt(np.sum(values**2, axis=0))
+    slabs = _slabs(values.shape[1:])
+    norms = np.empty(values.shape[1:])
+    for s in slabs:
+        np.sqrt(np.sum(values[:, s] ** 2, axis=0), out=norms[s])
     low = float(norms.min())
     if blow_up_floor is not None and low < blow_up_floor:
         raise BlowUpError(
@@ -49,7 +62,10 @@ def unit_normalize(values: np.ndarray, blow_up_floor: float | None = None) -> np
         )
     if low <= 0.0:
         raise ContractViolation("cannot normalize a zero vector")
-    return values / norms
+    out = np.empty(values.shape)
+    for s in slabs:
+        np.divide(values[:, s], norms[s], out=out[:, s])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +85,12 @@ class MagnetizationField:
         arr = np.array(self.m, dtype=np.float64)  # a private copy, frozen below
         if arr.shape != (3, *self.grid.shape):
             raise ContractViolation("magnetization shape does not match grid")
-        if not np.all(np.isfinite(arr)):
-            raise ContractViolation("magnetization contains NaN or Inf")
-        dev = np.abs(np.sqrt(np.sum(arr**2, axis=0)) - 1.0).max()
+        dev = 0.0
+        for s in _slabs(self.grid.shape):
+            slab = arr[:, s]
+            if not np.all(np.isfinite(slab)):
+                raise ContractViolation("magnetization contains NaN or Inf")
+            dev = max(dev, np.abs(np.sqrt(np.sum(slab**2, axis=0)) - 1.0).max())
         if dev > 1e-12:
             raise StateCorruption(f"|m| deviates from 1 by {dev:.3e} (> 1e-12)")
         if not 0.0 < self.alpha < np.inf:
@@ -154,18 +173,26 @@ def effective_field(mf: MagnetizationField) -> VectorField3:
 
 
 def _rhs(mf: MagnetizationField, j: VectorField3 | None) -> np.ndarray:
-    """dm/dt = A(m) P(h e3 - m x (j.grad)m - (lap + bih) m) / (1 + alpha^2)."""
+    """dm/dt = A(m) P(h e3 - m x (j.grad)m - (lap + bih) m) / (1 + alpha^2).
+
+    After the one inverse transform, each x-slab of the stiffness array is
+    turned into the rate in place.
+    """
     if j is not None and j.grid != mf.grid:
         raise ContractViolation("current density lives on a different grid")
-    m = mf.m
-    drive = mf.h_zeeman * E3.reshape(3, 1, 1, 1) - _stiffness(mf)
-    if j is not None:
-        jgrad = np.zeros_like(m)
-        for axis, dm_axis in enumerate(mf.gradient):
-            jgrad += j.values[axis] * dm_axis
-        drive -= _cross(m, jgrad)
-    drive -= np.sum(drive * m, axis=0) * m  # tangential projection
-    return apply_a(m, drive, mf.alpha) / (1.0 + mf.alpha**2)
+    zeeman = mf.h_zeeman * E3.reshape(3, 1, 1, 1)
+    out = _stiffness(mf)
+    for s in _slabs(mf.grid.shape):
+        m = mf.m[:, s]
+        drive = np.subtract(zeeman, out[:, s], out=out[:, s])
+        if j is not None:
+            jgrad = np.zeros_like(m)
+            for axis, dm_axis in enumerate(mf.gradient):
+                jgrad += j.values[axis, s] * dm_axis[:, s]
+            drive -= _cross(m, jgrad)
+        drive -= np.sum(drive * m, axis=0) * m  # tangential projection
+        np.divide(apply_a(m, drive, mf.alpha), 1.0 + mf.alpha**2, out=drive)
+    return out
 
 
 def ll_rhs(mf: MagnetizationField, j: VectorField3 | None = None):
@@ -213,17 +240,19 @@ def step(
         )
     g = mf.grid
     alpha2 = 1.0 + mf.alpha**2
-    dmdt = _rhs(mf, j)
     k2 = g.k_squared
     denom = alpha2 + coeffs.stabilizer_c * dt * k2 * k2
-    rhs_spec = _fft(dmdt)
+    rhs_spec = _fft(_rhs(mf, j))  # the rate's node array dies here
     rhs_spec *= g.dealias_mask
     rhs_spec /= denom
     # Re-project the dealiased, stabilized rate onto the tangent space so the
     # renormalization stays a second-order correction even for marginally
     # resolved data.
-    rate = _ifft_real(rhs_spec)
-    rate -= np.sum(rate * mf.m, axis=0) * mf.m
-    m_star = mf.m + dt * alpha2 * rate
-    m_new = unit_normalize(m_star, blow_up_floor=0.5)
-    return mf.with_m(m_new)
+    m_star = _ifft_real(rhs_spec)  # the rate, turned into m* slab by slab
+    for s in _slabs(g.shape):
+        m = mf.m[:, s]
+        rate = m_star[:, s]
+        rate -= np.sum(rate * m, axis=0) * m
+        rate *= dt * alpha2
+        rate += m
+    return mf.with_m(unit_normalize(m_star, blow_up_floor=0.5))

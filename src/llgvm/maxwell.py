@@ -9,8 +9,10 @@ energy 1/2 (eps_r ||E^n||^2 + <B^{n-1/2}, B^{n+1/2}>/mu_r).
 
 The zero sector is known without computing it: when every bit of E and B
 is zero (+0.0 throughout, no -0.0), a source-free step returns its input and
-em_energy and div_b_norm read 0.0.  EMFieldPair freezes its arrays, so the
-predicate is computed once per pair.  It is bitwise because a step turns
+em_energy and div_b_norm read 0.0.  EMFieldPair freezes its arrays, so what
+it caches on first use stays valid: that predicate, and the node average of
+E, which a particle step's gather and both sides of its energy audit read.
+The predicate is bitwise because a step turns
 -0.0 into +0.0: the all -0.0 E of a chargeless init_compatible takes one full
 step before the shortcut applies.
 
@@ -88,6 +90,13 @@ class EMFieldPair:
     def is_zero(self) -> bool:
         """Every bit of E and B is zero: +0.0 throughout, no -0.0."""
         return not (self.E.values.view(np.uint64).any() or self.B.values.view(np.uint64).any())
+
+    @cached_property
+    def E_nodes(self) -> VectorField3:
+        """E averaged to the nodes, read-only: the gather and both sides of the audit read it."""
+        e = VectorField3(self.grid, _pair_average(self.E.values, 1))
+        e.values.flags.writeable = False
+        return e
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -200,7 +209,7 @@ def step_fields(em: EMFieldPair, j_mollified: VectorField3 | None, dt: float) ->
 
 
 def avg_E_to_nodes(em: EMFieldPair) -> VectorField3:
-    return VectorField3(em.grid, _pair_average(em.E.values, 1))
+    return em.E_nodes
 
 
 def avg_B_to_nodes(em: EMFieldPair) -> VectorField3:

@@ -3,7 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
-from llgvm import PeriodicGrid, VectorField3
+from llgvm import PeriodicGrid, VectorField3, grid
 from llgvm.magnetization import MagnetizationField
 from llgvm.snapshots import _HEADER
 from llgvm.textures import random_smooth_unit
@@ -19,6 +19,14 @@ def grid16():
 @pytest.fixture(scope="session")
 def grid32():
     return PeriodicGrid.cubic(32, BOX)
+
+
+@pytest.fixture(params=[1, 1500, 1 << 40], ids=["plane", "uneven", "single"])
+def slab_nodes(request, monkeypatch):
+    """grid._SLAB_NODES set to give one x-plane per slab, an uneven split (16^3, 24^3 and
+    32^3 split into 3, 9 and 22 slabs), or a single slab."""
+    monkeypatch.setattr(grid, "_SLAB_NODES", request.param)
+    return request.param
 
 
 def band_limited_vector(grid, seed, k_cut=3, amplitude=1.0):

@@ -12,6 +12,7 @@ from llgvm import (
     Mollifier,
     PeriodicGrid,
     ScalarField,
+    VectorField3,
     coupler,
     emergent,
     l2_norm,
@@ -153,6 +154,35 @@ class TestEnergyAudit:
         j_s = mollify(j, state.mollifier)
         recomputed = energy_audit(state.em, nxt.em, nxt.emergent.e, j, j_s, e_tot)
         assert recomputed == nxt.ledger.coupling_residual
+
+    def test_node_average_of_e_is_taken_once_per_pair(self, monkeypatch):
+        """Two coupled steps average E to the nodes three times, not six, bitwise as before."""
+        text = "grid.n = 16\nkinetic.n_particles = 400\nrun.dt = 5e-4\n"
+
+        def two_steps():
+            cfg = parse_config_text(text)
+            state = build_state(cfg)
+            dt = validate_dt(cfg, state)
+            return advance(advance(state, dt), dt)
+
+        pair_average = maxwell._pair_average
+        shifts = []
+
+        def counted(values, shift):
+            shifts.append(shift)
+            return pair_average(values, shift)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(maxwell, "_pair_average", counted)
+            cached = two_steps()
+        # gather, current to edges, audit of E^1; current to edges, audit of E^2
+        assert shifts == [1, -1, 1, -1, 1]
+        monkeypatch.setattr(
+            coupler, "avg_E_to_nodes",
+            lambda em: VectorField3(em.grid, pair_average(em.E.values, 1)),
+        )
+        uncached = two_steps()
+        assert cached.ledger == uncached.ledger
 
     def test_residual_decreases_with_dt(self):
         # skip the first step: the lagged emergent field starts cold there, a
