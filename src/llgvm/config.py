@@ -2,7 +2,10 @@
 
 Sections are spelled with dotted keys (grid.n = 32).  Parsing is total:
 every malformed entry is collected and reported together; unknown keys are
-rejected so typos cannot silently fall back to defaults.
+rejected so typos cannot silently fall back to defaults.  A parsed config
+holds its derived defaults resolved: kinetic.seed, llg.stabilizer_c,
+mollifier.epsilon, kinetic.f0.center and kinetic.f0.position read as a run
+uses them.
 """
 
 from __future__ import annotations
@@ -11,13 +14,14 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolation
+from .grid import PeriodicGrid
+from .kinetic import F0_KINDS
+from .magnetization import LLCoefficients
 from .maxwell import EMMode
 from .textures import TEXTURE_NAMES
 
 log = logging.getLogger(__name__)
-
-F0_KINDS = ("bump_maxwellian", "uniform_maxwellian", "two_stream", "delta")
 
 
 def _parse_bool(text: str) -> bool:
@@ -64,7 +68,7 @@ def _parse_modes(text: str) -> tuple[EMMode, ...]:
     return tuple(modes)
 
 
-# key -> (converter, default); a None default means "derived later".
+# key -> (converter, default); a None default is derived once the file is parsed.
 SCHEMA = {
     "grid.n": (int, 32),
     "grid.nx": (int, None),
@@ -76,7 +80,7 @@ SCHEMA = {
     "grid.lz": (_parse_float, None),
     "llg.alpha": (_parse_float, 0.1),
     "llg.h": (_parse_float, 0.5),
-    "llg.stabilizer_c": (_parse_float, None),
+    "llg.stabilizer_c": (_parse_float, None),  # defaults to 2 lambda
     "llg.dt": (_parse_float, None),  # alias of run.dt
     "llg.initial": (str, "random_smooth"),
     "llg.init_radius": (_parse_float, None),
@@ -93,9 +97,9 @@ SCHEMA = {
     "kinetic.f0.v_thermal": (_parse_float, 0.3),
     "kinetic.f0.mass": (_parse_float, 1.0),
     "kinetic.f0.drift": (_parse_float, 0.8),
-    "kinetic.f0.position": (_parse_triple, None),
-    "kinetic.f0.velocity": (_parse_triple, None),
-    "mollifier.epsilon": (_parse_float, None),  # defaults to 4 grid spacings
+    "kinetic.f0.position": (_parse_triple, None),  # defaults to kinetic.f0.center
+    "kinetic.f0.velocity": (_parse_triple, (0.0, 0.0, 0.0)),
+    "mollifier.epsilon": (_parse_float, None),  # defaults to 4 min(h)
     "run.dt": (_parse_float, 5e-5),
     "run.n_steps": (int, 200),
     "run.snapshot_every": (int, 0),
@@ -157,7 +161,7 @@ def _range_checks(values: dict, errors: list[str], warnings: list[str]):
     check(values["em.mu_r"] >= 1.0, "em.mu_r must be >= 1")
     check(values["kinetic.n_particles"] >= 0, "kinetic.n_particles must be >= 0")
     if values["kinetic.f0.kind"] not in F0_KINDS:
-        errors.append(f"kinetic.f0.kind = {values['kinetic.f0.kind']!r}: choose one of {F0_KINDS}")
+        errors.append(f"kinetic.f0.kind = {values['kinetic.f0.kind']!r}: choose one of {tuple(F0_KINDS)}")
     check(values["kinetic.f0.radius"] > 0.0, "kinetic.f0.radius must be positive")
     check(values["kinetic.f0.v_thermal"] >= 0.0, "kinetic.f0.v_thermal must be >= 0")
     check(values["kinetic.f0.mass"] >= 0.0, "kinetic.f0.mass must be >= 0")
@@ -169,12 +173,6 @@ def _range_checks(values: dict, errors: list[str], warnings: list[str]):
     for key in ("run.seed", "kinetic.seed"):
         if values[key] is not None:
             check(values[key] >= 0, f"{key} = {values[key]}: seeds must be >= 0")
-    if values["llg.stabilizer_c"] is not None:
-        lam = values["llg.alpha"] / (1.0 + values["llg.alpha"] ** 2)
-        check(
-            values["llg.stabilizer_c"] >= lam,
-            f"llg.stabilizer_c must be >= lambda = alpha/(1+alpha^2) = {lam:.6g}",
-        )
 
 
 def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
@@ -213,13 +211,29 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
         else:
             values["run.dt"] = values["llg.dt"]
     _range_checks(values, errors, warnings)
+    if values["llg.alpha"] > 0.0:  # lambda and the rule c >= lambda live in LLCoefficients
+        try:
+            values["llg.stabilizer_c"] = LLCoefficients.from_alpha(
+                values["llg.alpha"], values["llg.stabilizer_c"]
+            ).stabilizer_c
+        except ContractViolation as err:
+            errors.append(f"llg.stabilizer_c: {err}")
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-    if values["kinetic.seed"] is None:
-        values["kinetic.seed"] = values["run.seed"]
+    cfg = RunConfig(values=values, warnings=warnings)
+    grid = PeriodicGrid(cfg.grid_shape(), cfg.box_lengths())
+    for key, derived in (
+        ("kinetic.seed", values["run.seed"]),
+        ("mollifier.epsilon", 4.0 * min(grid.spacing)),
+        ("kinetic.f0.center", tuple(0.5 * l for l in grid.box_length)),
+    ):
+        if values[key] is None:
+            values[key] = derived
+    if values["kinetic.f0.position"] is None:
+        values["kinetic.f0.position"] = values["kinetic.f0.center"]
     for msg in warnings:
         log.warning("%s", msg)
-    return RunConfig(values=values, warnings=warnings)
+    return cfg
 
 
 def parse_config(path) -> RunConfig:

@@ -99,9 +99,9 @@ class UniformMaxwellian:
 
 @dataclass(frozen=True)
 class TwoStream:
-    """Two counter-streaming Maxwellian beams along x (drift +-v_drift), uniform in space."""
+    """Two counter-streaming Maxwellian beams along x at mean velocity +-drift, uniform in space."""
 
-    v_drift: float
+    drift: float
     v_thermal: float
     mass: float = 1.0
 
@@ -114,6 +114,13 @@ class DeltaSpec:
 
 
 F0Spec = BumpMaxwellian | UniformMaxwellian | TwoStream | DeltaSpec
+# config name -> spec class; a run fills each field from kinetic.f0.<field>
+F0_KINDS = {
+    "bump_maxwellian": BumpMaxwellian,
+    "uniform_maxwellian": UniformMaxwellian,
+    "two_stream": TwoStream,
+    "delta": DeltaSpec,
+}
 
 
 def analytic_m2(spec: F0Spec) -> float:
@@ -123,7 +130,7 @@ def analytic_m2(spec: F0Spec) -> float:
     if isinstance(spec, UniformMaxwellian):
         return spec.mass * (3.0 * spec.v_thermal**2)
     if isinstance(spec, TwoStream):
-        return spec.mass * (3.0 * spec.v_thermal**2 + spec.v_drift**2)
+        return spec.mass * (3.0 * spec.v_thermal**2 + spec.drift**2)
     if isinstance(spec, DeltaSpec):
         return spec.mass * float(np.dot(spec.velocity, spec.velocity))
     raise ConfigError(f"unknown initial distribution {spec!r}")
@@ -167,7 +174,7 @@ def sample_initial(spec: F0Spec, n_particles: int, seed: int, grid: PeriodicGrid
     vel = spec.v_thermal * _truncated_normals(rng, n_particles, VELOCITY_CUTOFF_SIGMAS)
     if isinstance(spec, TwoStream):
         signs = np.where(rng.random(n_particles) < 0.5, -1.0, 1.0)
-        vel[:, 0] += signs * spec.v_drift
+        vel[:, 0] += signs * spec.drift
     weights = np.full(n_particles, spec.mass / n_particles)
     return ParticleEnsemble(pos.T, vel.T, weights)  # the (n, 3) draws, as rows
 

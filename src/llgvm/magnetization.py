@@ -55,12 +55,12 @@ def unit_normalize(values: np.ndarray, blow_up_floor: float | None = None) -> np
     for s in slabs:
         np.sqrt(np.sum(values[:, s] ** 2, axis=0), out=norms[s])
     low = float(norms.min())
-    if blow_up_floor is not None and low < blow_up_floor:
+    if blow_up_floor is not None and not low >= blow_up_floor:  # NaN fails both tests
         raise BlowUpError(
             f"renormalization of a near-zero vector (|m*| = {low:.3e} < {blow_up_floor});"
             " time step too large for the field motion"
         )
-    if low <= 0.0:
+    if not low > 0.0:
         raise ContractViolation("cannot normalize a zero vector")
     out = np.empty(values.shape)
     for s in slabs:

@@ -1,23 +1,16 @@
-"""Build a simulation from a RunConfig and drive the time loop."""
+"""Build a simulation from a parsed RunConfig, derived defaults resolved, and drive the time loop."""
 
 from __future__ import annotations
 
 import logging
+from dataclasses import fields
 from pathlib import Path
 
 from .config import RunConfig
 from .coupler import SimState, advance, make_initial_state
 from .errors import ConfigError, ContractViolation, DegenerateSliceError
 from .grid import PeriodicGrid, l2_norm
-from .kinetic import (
-    BumpMaxwellian,
-    DeltaSpec,
-    ParticleEnsemble,
-    TwoStream,
-    UniformMaxwellian,
-    deposit,
-    sample_initial,
-)
+from .kinetic import F0_KINDS, ParticleEnsemble, deposit, sample_initial
 from .magnetization import LLCoefficients, dt_max
 from .maxwell import cfl_limit, div_b_norm, gauss_residual, init_compatible
 from .smoothing import Mollifier, mollify
@@ -42,25 +35,6 @@ LEDGER_COLUMNS = (
 )
 
 
-def f0_spec_from_config(cfg: RunConfig, box_lengths) -> object:
-    v = cfg.values
-    kind = v["kinetic.f0.kind"]
-    center = v["kinetic.f0.center"]
-    if center is None:
-        center = tuple(0.5 * l for l in box_lengths)
-    if kind == "bump_maxwellian":
-        return BumpMaxwellian(center, v["kinetic.f0.radius"], v["kinetic.f0.v_thermal"], v["kinetic.f0.mass"])
-    if kind == "uniform_maxwellian":
-        return UniformMaxwellian(v["kinetic.f0.v_thermal"], v["kinetic.f0.mass"])
-    if kind == "two_stream":
-        return TwoStream(v["kinetic.f0.drift"], v["kinetic.f0.v_thermal"], v["kinetic.f0.mass"])
-    if kind == "delta":
-        pos = v["kinetic.f0.position"] or center
-        vel = v["kinetic.f0.velocity"] or (0.0, 0.0, 0.0)
-        return DeltaSpec(pos, vel, v["kinetic.f0.mass"])
-    raise ConfigError(f"unknown kinetic.f0.kind {kind!r}")
-
-
 def build_state(cfg: RunConfig) -> SimState:
     v = cfg.values
     grid = PeriodicGrid(cfg.grid_shape(), cfg.box_lengths())
@@ -76,14 +50,12 @@ def build_state(cfg: RunConfig) -> SimState:
     )
     n_particles = v["kinetic.n_particles"]
     if n_particles > 0:
-        spec = f0_spec_from_config(cfg, grid.box_length)
+        kind = F0_KINDS[v["kinetic.f0.kind"]]
+        spec = kind(**{f.name: v[f"kinetic.f0.{f.name}"] for f in fields(kind)})
         particles = sample_initial(spec, n_particles, v["kinetic.seed"], grid)
     else:
         particles = ParticleEnsemble.empty()
-    eps = v["mollifier.epsilon"]
-    if eps is None:
-        eps = 4.0 * min(grid.spacing)
-    mollifier = Mollifier.build(grid, eps)
+    mollifier = Mollifier.build(grid, v["mollifier.epsilon"])
     # The Maxwell source is the smoothed current, so the compatible constraint
     # carries the smoothed charge: div(eps_r E0) = K_eps rho0.
     rho0, _ = deposit(particles, grid)

@@ -59,6 +59,13 @@ class TestRun:
         bad.write_text("grid.n = 33\n")
         assert cli.main(["run", "--config", str(bad)]) == cli.EXIT_CONFIG
 
+    def test_bad_kind_texture_and_stabilizer_listed_together(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("kinetic.f0.kind = kappa\nllg.initial = vortex\nllg.stabilizer_c = 0.01\n")
+        assert cli.main(["run", "--config", str(bad)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "kinetic.f0.kind" in err and "llg.initial" in err and "llg.stabilizer_c" in err
+
     @pytest.mark.parametrize("line", ["llg.stabilizer_c = inf", "em.init_modes = 1,0,0,nan"])
     def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "nonfinite.cfg"

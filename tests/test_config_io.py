@@ -10,7 +10,7 @@ from llgvm import snapshots
 from llgvm.config import SCHEMA, default_config, parse_config, parse_config_text
 from llgvm.errors import ConfigError, SnapshotError
 from llgvm.kinetic import ParticleEnsemble
-from llgvm.magnetization import MagnetizationField
+from llgvm.magnetization import LLCoefficients, MagnetizationField
 from llgvm.maxwell import EMMode
 from llgvm.textures import hopfion, random_smooth_unit
 
@@ -26,6 +26,33 @@ class TestConfigParsing:
         assert cfg.grid_shape() == (32, 32, 32)
         assert cfg.box_lengths() == (16.0, 16.0, 16.0)
         assert cfg.warnings == []
+        assert cfg["mollifier.epsilon"] == 4.0 * 0.5
+        assert cfg["kinetic.f0.center"] == (8.0, 8.0, 8.0)
+        assert cfg["kinetic.f0.position"] == cfg["kinetic.f0.center"]
+        assert cfg["kinetic.f0.velocity"] == (0.0, 0.0, 0.0)
+        assert cfg["llg.stabilizer_c"] == LLCoefficients.from_alpha(0.1).stabilizer_c
+
+    def test_derived_defaults_on_an_anisotropic_grid(self):
+        # spacings (1.5, 0.5, 0.5): the smallest is not along x
+        cfg = parse_config_text("grid.n = 16\ngrid.box = 8.0\ngrid.nx = 8\ngrid.lx = 12.0\nllg.alpha = 0.3\n")
+        assert cfg["mollifier.epsilon"] == 4.0 * min(PeriodicGrid((8, 16, 16), (12.0, 8.0, 8.0)).spacing) == 2.0
+        assert cfg["kinetic.f0.center"] == cfg["kinetic.f0.position"] == (6.0, 4.0, 4.0)
+        assert cfg["kinetic.f0.velocity"] == (0.0, 0.0, 0.0)
+        assert cfg["llg.stabilizer_c"] == LLCoefficients.from_alpha(0.3).stabilizer_c
+
+    def test_explicit_values_pass_through(self):
+        text = (
+            "mollifier.epsilon = 1.25\nkinetic.f0.center = 1,2,3\nkinetic.f0.velocity = 0.1,0,0\n"
+            "llg.stabilizer_c = 6.0\nkinetic.seed = 7\n"
+        )
+        cfg = parse_config_text(text)
+        assert cfg["mollifier.epsilon"] == 1.25
+        assert cfg["kinetic.f0.center"] == cfg["kinetic.f0.position"] == (1.0, 2.0, 3.0)
+        assert cfg["kinetic.f0.velocity"] == (0.1, 0.0, 0.0)
+        assert cfg["llg.stabilizer_c"] == 6.0
+        assert cfg["kinetic.seed"] == 7
+        cfg = parse_config_text("kinetic.f0.center = 1,2,3\nkinetic.f0.position = 0.5,0.5,0.5\n")
+        assert cfg["kinetic.f0.position"] == (0.5, 0.5, 0.5)
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("# heading\n\ngrid.n = 8  # trailing comment\n")
@@ -77,6 +104,15 @@ class TestConfigParsing:
     def test_stabilizer_must_dominate_lambda(self):
         with pytest.raises(ConfigError, match="stabilizer"):
             parse_config_text("llg.alpha = 0.1\nllg.stabilizer_c = 0.01\n")
+
+    def test_bad_stabilizer_reported_with_the_other_errors(self):
+        text = "grid.n = 33\nllg.stabilizer_c = 0.01\nkinetic.f0.kind = kappa\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        message = str(err.value)
+        assert "grid.n = 33" in message
+        assert "llg.stabilizer_c: stabilizer c = 0.01 must be >= lambda" in message
+        assert "kinetic.f0.kind = 'kappa'" in message
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

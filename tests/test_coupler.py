@@ -16,6 +16,7 @@ from llgvm import (
     coupler,
     emergent,
     l2_norm,
+    magnetization,
     maxwell,
     mollify,
     read_snapshot,
@@ -85,6 +86,12 @@ class TestAdvance:
         state = bare_state(grid16, uniform_texture(grid16))
         with pytest.raises(TimeStepError, match=r"step 1 \[llg\]"):
             advance(state, 10.0)
+
+    def test_nan_rate_is_a_blow_up(self, grid16, monkeypatch):
+        state = bare_state(grid16, uniform_texture(grid16))
+        monkeypatch.setattr(magnetization, "_rhs", lambda mf, j: np.full(mf.m.shape, np.nan))
+        with pytest.raises(BlowUpError, match=r"^step 1 \[llg\]: renormalization"):
+            advance(state, 1e-4)
 
     def test_non_finite_ledger_carries_step_and_phase(self, grid16, monkeypatch):
         state = bare_state(grid16, uniform_texture(grid16))
@@ -284,10 +291,12 @@ class TestBuildState:
     @pytest.mark.parametrize(
         "lines, count, kinetic",
         [
+            ("kinetic.f0.kind = bump_maxwellian\nkinetic.n_particles = 300\nkinetic.f0.radius = 0.8\n", 300, None),
             ("kinetic.f0.kind = uniform_maxwellian\nkinetic.n_particles = 300\n", 300, None),
+            ("kinetic.f0.kind = two_stream\nkinetic.n_particles = 300\n", 300, None),
             ("kinetic.f0.kind = delta\nkinetic.n_particles = 1\nkinetic.f0.velocity = 0.5,0,0\n", 1, 0.125),
         ],
-        ids=["uniform_maxwellian", "delta"],
+        ids=["bump_maxwellian", "uniform_maxwellian", "two_stream", "delta"],
     )
     def test_f0_kind(self, lines, count, kinetic):
         state = build_state(parse_config_text(f"grid.n = 8\ngrid.box = 8.0\n{lines}"))

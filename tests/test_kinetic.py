@@ -123,7 +123,7 @@ class TestSampling:
         assert diff < 3.0 * pooled
 
     def test_two_stream_moment(self, grid16):
-        spec = TwoStream(v_drift=0.8, v_thermal=0.2)
+        spec = TwoStream(drift=0.8, v_thermal=0.2)
         p = sample_initial(spec, 30000, 5, grid16)
         m2 = float(np.sum(p.weights * np.sum(p.velocities**2, axis=0)))
         assert abs(m2 / analytic_m2(spec) - 1.0) < 5.0 / np.sqrt(30000)

@@ -314,3 +314,13 @@ class TestStep:
         vals[2] = 0.1
         with pytest.raises(BlowUpError):
             unit_normalize(vals, blow_up_floor=0.5)
+
+    def test_nan_fails_both_floors(self):
+        # NaN compares False with everything, so each test must be written to fail on it
+        vals = np.zeros((3, 2, 2, 2))
+        vals[2] = 1.0
+        vals[0, 1, 0, 1] = np.nan
+        with pytest.raises(BlowUpError, match=r"\|m\*\| = nan"):
+            unit_normalize(vals, blow_up_floor=0.5)
+        with pytest.raises(ContractViolation, match="cannot normalize"):
+            unit_normalize(vals)
