@@ -61,7 +61,7 @@ def unit_normalize(values: np.ndarray, blow_up_floor: float | None = None) -> np
             " time step too large for the field motion"
         )
     if not low > 0.0:
-        raise ContractViolation("cannot normalize a zero vector")
+        raise ContractViolation("cannot normalize a zero or non-finite vector")
     out = np.empty(values.shape)
     for s in slabs:
         np.divide(values[:, s], norms[s], out=out[:, s])
@@ -126,7 +126,8 @@ class LLCoefficients:
     def __post_init__(self):
         if self.stabilizer_c < self.lambda_coeff:
             raise ContractViolation(
-                f"stabilizer c = {self.stabilizer_c} must be >= lambda = {self.lambda_coeff}"
+                f"stabilizer c = {self.stabilizer_c} must be >= lambda = alpha/(1+alpha^2)"
+                f" = {self.lambda_coeff:.6g}"
             )
 
     @classmethod

@@ -59,13 +59,6 @@ class TestRun:
         bad.write_text("grid.n = 33\n")
         assert cli.main(["run", "--config", str(bad)]) == cli.EXIT_CONFIG
 
-    def test_bad_kind_texture_and_stabilizer_listed_together(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("kinetic.f0.kind = kappa\nllg.initial = vortex\nllg.stabilizer_c = 0.01\n")
-        assert cli.main(["run", "--config", str(bad)]) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "kinetic.f0.kind" in err and "llg.initial" in err and "llg.stabilizer_c" in err
-
     @pytest.mark.parametrize("line", ["llg.stabilizer_c = inf", "em.init_modes = 1,0,0,nan"])
     def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "nonfinite.cfg"
@@ -136,8 +129,9 @@ class TestRun:
             "kinetic.n_particles = 0\nem.init_modes = 0,0,0,1",
             "kinetic.n_particles = 2\nkinetic.f0.kind = delta",
             "kinetic.n_particles = 0\nllg.initial = hopfion\nllg.init_radius = 5.0",
+            "kinetic.f0.kind = kappa\nllg.initial = vortex\nllg.stabilizer_c = 0.01",
         ],
-        ids=["unstable-dt", "bad-mode", "delta-with-two", "radius-too-large"],
+        ids=["unstable-dt", "bad-mode", "delta-with-two", "radius-too-large", "kind-texture-stabilizer"],
     )
     def test_config_error_leaves_no_output_dir(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"

@@ -106,13 +106,14 @@ class TestConfigParsing:
             parse_config_text("llg.alpha = 0.1\nllg.stabilizer_c = 0.01\n")
 
     def test_bad_stabilizer_reported_with_the_other_errors(self):
-        text = "grid.n = 33\nllg.stabilizer_c = 0.01\nkinetic.f0.kind = kappa\n"
+        text = "grid.n = 33\nllg.stabilizer_c = 0.01\nkinetic.f0.kind = kappa\nllg.initial = vortex\n"
         with pytest.raises(ConfigError) as err:
             parse_config_text(text)
         message = str(err.value)
         assert "grid.n = 33" in message
-        assert "llg.stabilizer_c: stabilizer c = 0.01 must be >= lambda" in message
+        assert "llg.stabilizer_c: stabilizer c = 0.01 must be >= lambda = alpha/(1+alpha^2) = 0.0990099" in message
         assert "kinetic.f0.kind = 'kappa'" in message
+        assert "llg.initial = 'vortex'" in message
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -322,5 +322,5 @@ class TestStep:
         vals[0, 1, 0, 1] = np.nan
         with pytest.raises(BlowUpError, match=r"\|m\*\| = nan"):
             unit_normalize(vals, blow_up_floor=0.5)
-        with pytest.raises(ContractViolation, match="cannot normalize"):
+        with pytest.raises(ContractViolation, match="cannot normalize a zero or non-finite vector"):
             unit_normalize(vals)

@@ -27,14 +27,13 @@ CONFIGS = sorted((ROOT / "configs").glob("*.cfg")) + sorted((ROOT / "perfbench" 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True, help="run.seed and kinetic.seed of every run")
-    parser.add_argument("--out", default=None, help="keep the outputs here (default: a temporary directory)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     from llgvm.config import parse_config
     from llgvm.runner import run_simulation
 
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(args.out or tmp)
+        out = Path(tmp)
         for path in CONFIGS:
             cfg = parse_config(path)
             cfg.values["run.seed"] = cfg.values["kinetic.seed"] = args.seed
