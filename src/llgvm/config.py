@@ -1,11 +1,14 @@
 """Flat key = value run configuration with full validation.
 
-Sections are spelled with dotted keys (grid.n = 32).  Parsing is total:
-every malformed entry is collected and reported together; unknown keys are
-rejected so typos cannot silently fall back to defaults.  A parsed config
-holds its derived defaults resolved: kinetic.seed, llg.stabilizer_c,
-mollifier.epsilon, kinetic.f0.center and kinetic.f0.position read as a run
-uses them.
+Sections are spelled with dotted keys (grid.n = 32).  Each key has one
+SCHEMA row: its converter, its default and its range rule.  Parsing is
+total: every malformed entry is collected and reported together, range
+errors in SCHEMA order; unknown keys are rejected so typos cannot silently
+fall back to defaults.  Two rules live outside the rows: the llg.h <= 1/4
+warning, and c >= lambda for llg.stabilizer_c, which LLCoefficients owns.
+A parsed config holds its derived defaults resolved: kinetic.seed,
+llg.stabilizer_c, mollifier.epsilon, kinetic.f0.center and
+kinetic.f0.position read as a run uses them.
 """
 
 from __future__ import annotations
@@ -68,44 +71,59 @@ def _parse_modes(text: str) -> tuple[EMMode, ...]:
     return tuple(modes)
 
 
-# key -> (converter, default); a None default is derived once the file is parsed.
+# A range rule is (test, message): a parsed value that fails the test gives the
+# error message.format(key=key, value=value).
+_POSITIVE = (lambda v: v > 0.0, "{key} must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "{key} must be >= 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, "{key} must be >= 1")
+_EVEN_NODES = (lambda n: n >= 4 and n % 2 == 0, "{key} = {value}: node counts must be even and >= 4")
+_LENGTH = (_POSITIVE[0], "{key} = {value}: box lengths must be positive")
+_SEED = (_NON_NEGATIVE[0], "{key} = {value}: seeds must be >= 0")
+
+
+def _one_of(names) -> tuple:
+    return (lambda v: v in names, f"{{key}} = {{value!r}}: choose one of {tuple(names)}")
+
+
+# key -> (converter, default, range rule); a None default is derived once the
+# file is parsed, and a None value skips the rule.
 SCHEMA = {
-    "grid.n": (int, 32),
-    "grid.nx": (int, None),
-    "grid.ny": (int, None),
-    "grid.nz": (int, None),
-    "grid.box": (_parse_float, 16.0),
-    "grid.lx": (_parse_float, None),
-    "grid.ly": (_parse_float, None),
-    "grid.lz": (_parse_float, None),
-    "llg.alpha": (_parse_float, 0.1),
-    "llg.h": (_parse_float, 0.5),
-    "llg.stabilizer_c": (_parse_float, None),  # defaults to 2 lambda
-    "llg.dt": (_parse_float, None),  # alias of run.dt
-    "llg.initial": (str, "random_smooth"),
-    "llg.init_radius": (_parse_float, None),
-    "llg.init_amplitude": (_parse_float, 0.05),
-    "llg.init_kcut": (int, 2),
-    "em.eps_r": (_parse_float, 1.0),
-    "em.mu_r": (_parse_float, 1.0),
-    "em.init_modes": (_parse_modes, ()),
-    "kinetic.n_particles": (int, 10000),
-    "kinetic.seed": (int, None),  # defaults to run.seed
-    "kinetic.f0.kind": (str, "bump_maxwellian"),
-    "kinetic.f0.center": (_parse_triple, None),  # defaults to the box center
-    "kinetic.f0.radius": (_parse_float, 1.6),
-    "kinetic.f0.v_thermal": (_parse_float, 0.3),
-    "kinetic.f0.mass": (_parse_float, 1.0),
-    "kinetic.f0.drift": (_parse_float, 0.8),
-    "kinetic.f0.position": (_parse_triple, None),  # defaults to kinetic.f0.center
-    "kinetic.f0.velocity": (_parse_triple, (0.0, 0.0, 0.0)),
-    "mollifier.epsilon": (_parse_float, None),  # defaults to 4 min(h)
-    "run.dt": (_parse_float, 5e-5),
-    "run.n_steps": (int, 200),
-    "run.snapshot_every": (int, 0),
-    "run.output_dir": (str, "out"),
-    "run.seed": (int, 12345),
-    "run.topology_diagnostics": (_parse_bool, True),
+    "grid.n": (int, 32, _EVEN_NODES),
+    "grid.nx": (int, None, _EVEN_NODES),
+    "grid.ny": (int, None, _EVEN_NODES),
+    "grid.nz": (int, None, _EVEN_NODES),
+    "grid.box": (_parse_float, 16.0, _LENGTH),
+    "grid.lx": (_parse_float, None, _LENGTH),
+    "grid.ly": (_parse_float, None, _LENGTH),
+    "grid.lz": (_parse_float, None, _LENGTH),
+    "llg.alpha": (_parse_float, 0.1, _POSITIVE),
+    "llg.h": (_parse_float, 0.5, None),
+    "llg.stabilizer_c": (_parse_float, None, None),  # defaults to 2 lambda
+    "llg.dt": (_parse_float, None, None),  # alias of run.dt
+    "llg.initial": (str, "random_smooth", _one_of(TEXTURE_NAMES)),
+    "llg.init_radius": (_parse_float, None, _POSITIVE),
+    "llg.init_amplitude": (_parse_float, 0.05, None),
+    "llg.init_kcut": (int, 2, _AT_LEAST_ONE),
+    "em.eps_r": (_parse_float, 1.0, _AT_LEAST_ONE),
+    "em.mu_r": (_parse_float, 1.0, _AT_LEAST_ONE),
+    "em.init_modes": (_parse_modes, (), None),
+    "kinetic.n_particles": (int, 10000, _NON_NEGATIVE),
+    "kinetic.seed": (int, None, _SEED),  # defaults to run.seed
+    "kinetic.f0.kind": (str, "bump_maxwellian", _one_of(F0_KINDS)),
+    "kinetic.f0.center": (_parse_triple, None, None),  # defaults to the box center
+    "kinetic.f0.radius": (_parse_float, 1.6, _POSITIVE),
+    "kinetic.f0.v_thermal": (_parse_float, 0.3, _NON_NEGATIVE),
+    "kinetic.f0.mass": (_parse_float, 1.0, _NON_NEGATIVE),
+    "kinetic.f0.drift": (_parse_float, 0.8, None),
+    "kinetic.f0.position": (_parse_triple, None, None),  # defaults to kinetic.f0.center
+    "kinetic.f0.velocity": (_parse_triple, (0.0, 0.0, 0.0), None),
+    "mollifier.epsilon": (_parse_float, None, _POSITIVE),  # defaults to 4 min(h)
+    "run.dt": (_parse_float, 5e-5, _POSITIVE),
+    "run.n_steps": (int, 200, _NON_NEGATIVE),
+    "run.snapshot_every": (int, 0, _NON_NEGATIVE),
+    "run.output_dir": (str, "out", None),
+    "run.seed": (int, 12345, _SEED),
+    "run.topology_diagnostics": (_parse_bool, True, None),
 }
 
 
@@ -129,56 +147,10 @@ class RunConfig:
         return self._per_axis("l", "box")
 
 
-def _range_checks(values: dict, errors: list[str], warnings: list[str]):
-    def check(cond: bool, message: str):
-        if not cond:
-            errors.append(message)
-
-    for key in ("grid.n", "grid.nx", "grid.ny", "grid.nz"):
-        n = values[key]
-        if n is None:
-            continue
-        if n < 4 or n % 2 != 0:
-            errors.append(f"{key} = {n}: node counts must be even and >= 4")
-    for key in ("grid.box", "grid.lx", "grid.ly", "grid.lz"):
-        l = values[key]
-        if l is not None:
-            check(l > 0.0, f"{key} = {l}: box lengths must be positive")
-    check(values["llg.alpha"] > 0.0, "llg.alpha must be positive")
-    if values["llg.h"] <= 0.25:
-        warnings.append(
-            f"llg.h = {values['llg.h']} <= 1/4: the interaction energy is only"
-            " H^2-coercive for h > 1/4; the run may be outside the well-posed regime"
-        )
-    if values["llg.initial"] not in TEXTURE_NAMES:
-        errors.append(
-            f"llg.initial = {values['llg.initial']!r}: choose one of {TEXTURE_NAMES}"
-        )
-    if values["llg.init_radius"] is not None:
-        check(values["llg.init_radius"] > 0.0, "llg.init_radius must be positive")
-    check(values["llg.init_kcut"] >= 1, "llg.init_kcut must be >= 1")
-    check(values["em.eps_r"] >= 1.0, "em.eps_r must be >= 1")
-    check(values["em.mu_r"] >= 1.0, "em.mu_r must be >= 1")
-    check(values["kinetic.n_particles"] >= 0, "kinetic.n_particles must be >= 0")
-    if values["kinetic.f0.kind"] not in F0_KINDS:
-        errors.append(f"kinetic.f0.kind = {values['kinetic.f0.kind']!r}: choose one of {tuple(F0_KINDS)}")
-    check(values["kinetic.f0.radius"] > 0.0, "kinetic.f0.radius must be positive")
-    check(values["kinetic.f0.v_thermal"] >= 0.0, "kinetic.f0.v_thermal must be >= 0")
-    check(values["kinetic.f0.mass"] >= 0.0, "kinetic.f0.mass must be >= 0")
-    if values["mollifier.epsilon"] is not None:
-        check(values["mollifier.epsilon"] > 0.0, "mollifier.epsilon must be positive")
-    check(values["run.dt"] > 0.0, "run.dt must be positive")
-    check(values["run.n_steps"] >= 0, "run.n_steps must be >= 0")
-    check(values["run.snapshot_every"] >= 0, "run.snapshot_every must be >= 0")
-    for key in ("run.seed", "kinetic.seed"):
-        if values[key] is not None:
-            check(values[key] >= 0, f"{key} = {values[key]}: seeds must be >= 0")
-
-
 def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
     errors: list[str] = []
     warnings: list[str] = []
-    values = {key: default for key, (_, default) in SCHEMA.items()}
+    values = {key: default for key, (_, default, _) in SCHEMA.items()}
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -197,7 +169,7 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
             errors.append(f"{source}:{lineno}: duplicate key {key!r}")
             continue
         seen.add(key)
-        converter, _ = SCHEMA[key]
+        converter = SCHEMA[key][0]
         try:
             values[key] = converter(rhs)
         except (ValueError, TypeError) as err:
@@ -210,7 +182,14 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
             )
         else:
             values["run.dt"] = values["llg.dt"]
-    _range_checks(values, errors, warnings)
+    for key, (_, _, rule) in SCHEMA.items():
+        if rule is not None and values[key] is not None and not rule[0](values[key]):
+            errors.append(rule[1].format(key=key, value=values[key]))
+    if values["llg.h"] <= 0.25:
+        warnings.append(
+            f"llg.h = {values['llg.h']} <= 1/4: the interaction energy is only"
+            " H^2-coercive for h > 1/4; the run may be outside the well-posed regime"
+        )
     if values["llg.alpha"] > 0.0:  # lambda and the rule c >= lambda live in LLCoefficients
         try:
             values["llg.stabilizer_c"] = LLCoefficients.from_alpha(

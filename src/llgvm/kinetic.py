@@ -299,7 +299,7 @@ def lorentz_push(
         _wrap(x, box)
         e_p, b_p = gather((E_tot, B_tot), x)
         if not (np.all(np.isfinite(e_p)) and np.all(np.isfinite(b_p))):
-            raise BlowUpError("NaN in gathered fields")
+            raise BlowUpError("non-finite particle position: the half-step drift overflowed")
         b_max = max(b_max, float(np.sqrt(b_p[0] * b_p[0] + b_p[1] * b_p[1] + b_p[2] * b_p[2]).max()))
         half_kick = 0.5 * dt * CHARGE * e_p
         b_p *= -CHARGE * dt  # the rotation vectors

@@ -54,13 +54,15 @@ def unit_normalize(values: np.ndarray, blow_up_floor: float | None = None) -> np
     norms = np.empty(values.shape[1:])
     for s in slabs:
         np.sqrt(np.sum(values[:, s] ** 2, axis=0), out=norms[s])
-    low = float(norms.min())
+    low, high = float(norms.min()), float(norms.max())
     if blow_up_floor is not None and not low >= blow_up_floor:  # NaN fails both tests
         raise BlowUpError(
             f"renormalization of a near-zero vector (|m*| = {low:.3e} < {blow_up_floor});"
             " time step too large for the field motion"
         )
-    if not low > 0.0:
+    if blow_up_floor is not None and not high < np.inf:
+        raise BlowUpError(f"renormalization of a vector with a non-finite norm (|m*| = {high:.3e})")
+    if not (low > 0.0 and high < np.inf):
         raise ContractViolation("cannot normalize a zero or non-finite vector")
     out = np.empty(values.shape)
     for s in slabs:

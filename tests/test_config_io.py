@@ -165,11 +165,77 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{key} = -1: seeds must be >= 0"):
             parse_config_text(f"grid.n = 8\n{key} = -1\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("grid.n = 3", "grid.n = 3: node counts must be even and >= 4"),
+            ("grid.nx = 5", "grid.nx = 5: node counts must be even and >= 4"),
+            ("grid.ny = 2", "grid.ny = 2: node counts must be even and >= 4"),
+            ("grid.nz = 7", "grid.nz = 7: node counts must be even and >= 4"),
+            ("grid.box = 0", "grid.box = 0.0: box lengths must be positive"),
+            ("grid.lx = -1", "grid.lx = -1.0: box lengths must be positive"),
+            ("grid.ly = 0", "grid.ly = 0.0: box lengths must be positive"),
+            ("grid.lz = -2.5", "grid.lz = -2.5: box lengths must be positive"),
+            ("llg.alpha = -1", "llg.alpha must be positive"),
+            (
+                "llg.initial = vortex",
+                "llg.initial = 'vortex': choose one of"
+                " ('uniform', 'skyrmion_tube', 'hopfion', 'random_smooth')",
+            ),
+            ("llg.init_radius = 0", "llg.init_radius must be positive"),
+            ("llg.init_kcut = 0", "llg.init_kcut must be >= 1"),
+            ("em.eps_r = 0.5", "em.eps_r must be >= 1"),
+            ("em.mu_r = 0.9", "em.mu_r must be >= 1"),
+            ("kinetic.n_particles = -1", "kinetic.n_particles must be >= 0"),
+            ("kinetic.seed = -3", "kinetic.seed = -3: seeds must be >= 0"),
+            ("run.seed = -1", "run.seed = -1: seeds must be >= 0"),
+            (
+                "kinetic.f0.kind = kappa",
+                "kinetic.f0.kind = 'kappa': choose one of"
+                " ('bump_maxwellian', 'uniform_maxwellian', 'two_stream', 'delta')",
+            ),
+            ("kinetic.f0.radius = 0", "kinetic.f0.radius must be positive"),
+            ("kinetic.f0.v_thermal = -0.1", "kinetic.f0.v_thermal must be >= 0"),
+            ("kinetic.f0.mass = -1", "kinetic.f0.mass must be >= 0"),
+            ("mollifier.epsilon = 0", "mollifier.epsilon must be positive"),
+            ("run.dt = 0", "run.dt must be positive"),
+            ("run.n_steps = -1", "run.n_steps must be >= 0"),
+            ("run.snapshot_every = -1", "run.snapshot_every must be >= 0"),
+        ],
+    )
+    def test_range_error_text(self, line, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"{line}\n")
+        assert str(err.value) == f"invalid configuration:\n  {message}"
+
+    def test_range_errors_come_in_schema_order(self):
+        text = (
+            "run.seed = -1\nrun.dt = 0\nkinetic.seed = -3\nkinetic.f0.mass = -1\nkinetic.n_particles = -1\n"
+            "em.eps_r = 0.5\nllg.init_kcut = 0\nllg.alpha = -1\ngrid.lz = 0\ngrid.n = 3\n"
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert str(err.value).split("\n  ")[1:] == [
+            "grid.n = 3: node counts must be even and >= 4",
+            "grid.lz = 0.0: box lengths must be positive",
+            "llg.alpha must be positive",
+            "llg.init_kcut must be >= 1",
+            "em.eps_r must be >= 1",
+            "kinetic.n_particles must be >= 0",
+            "kinetic.seed = -3: seeds must be >= 0",
+            "kinetic.f0.mass must be >= 0",
+            "run.dt must be positive",
+            "run.seed = -1: seeds must be >= 0",
+        ]
+
     def test_every_schema_key_parses_its_default(self):
-        # defaults in the schema must satisfy the range checks themselves
+        # defaults in the schema must satisfy their own row's range rule
         cfg = default_config()
-        for key in SCHEMA:
+        for key, (_, default, rule) in SCHEMA.items():
             assert key in cfg.values
+            if default is not None and rule is not None:
+                test, _ = rule
+                assert test(default), key
 
 
 class TestSnapshots:

@@ -288,6 +288,15 @@ class TestLorentzPush:
         with pytest.raises(BlowUpError):
             lorentz_push(p, efield, VectorField3.zeros(grid16), 1e-2)
 
+    def test_overflowing_drift_aborts(self):
+        # finite fields gather non-finite values only at a non-finite position
+        grid = PeriodicGrid.cubic(8, BOX)
+        p = ParticleEnsemble(np.full((3, 1), 1.0), [[1e308], [0.0], [0.0]], [1.0])
+        zero = VectorField3.zeros(grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError, match="non-finite particle position: the half-step drift overflowed"):
+                lorentz_push(p, zero, zero, 4.0)
+
     def test_rodrigues_mixed_zero_rotations(self):
         # columns with a zero rotation vector take no part in the rotation
         rng = np.random.default_rng(4)

@@ -316,11 +316,13 @@ class TestStep:
             unit_normalize(vals, blow_up_floor=0.5)
 
     def test_nan_fails_both_floors(self):
-        # NaN compares False with everything, so each test must be written to fail on it
-        vals = np.zeros((3, 2, 2, 2))
-        vals[2] = 1.0
-        vals[0, 1, 0, 1] = np.nan
-        with pytest.raises(BlowUpError, match=r"\|m\*\| = nan"):
-            unit_normalize(vals, blow_up_floor=0.5)
-        with pytest.raises(ContractViolation, match="cannot normalize a zero or non-finite vector"):
-            unit_normalize(vals)
+        # NaN compares False with everything, so each test must be written to fail on it;
+        # an infinite entry has an infinite norm, which passes both floors
+        for bad in (np.nan, np.inf, -np.inf):
+            vals = np.zeros((3, 2, 2, 2))
+            vals[2] = 1.0
+            vals[0, 1, 0, 1] = bad
+            with pytest.raises(BlowUpError, match=r"\|m\*\| = (nan <|inf\))"):
+                unit_normalize(vals, blow_up_floor=0.5)
+            with pytest.raises(ContractViolation, match="cannot normalize a zero or non-finite vector"):
+                unit_normalize(vals)
