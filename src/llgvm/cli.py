@@ -120,15 +120,13 @@ def main(argv=None) -> int:
             if args.diag_command == "topology":
                 return _cmd_diag_topology(args)
             return _cmd_diag_energy(args)
-        if args.command == "selftest":
-            return EXIT_OK if run_selftest() else EXIT_SELFTEST
+        return EXIT_OK if run_selftest() else EXIT_SELFTEST
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except LLGVMError as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_OK
 
 
 if __name__ == "__main__":

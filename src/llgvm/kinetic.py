@@ -125,10 +125,8 @@ F0_KINDS = {
 
 def analytic_m2(spec: F0Spec) -> float:
     """Closed-form second velocity moment int int f |v|^2 of the untruncated law."""
-    if isinstance(spec, BumpMaxwellian):
+    if isinstance(spec, (BumpMaxwellian, UniformMaxwellian)):
         return spec.mass * 3.0 * spec.v_thermal**2
-    if isinstance(spec, UniformMaxwellian):
-        return spec.mass * (3.0 * spec.v_thermal**2)
     if isinstance(spec, TwoStream):
         return spec.mass * (3.0 * spec.v_thermal**2 + spec.drift**2)
     if isinstance(spec, DeltaSpec):

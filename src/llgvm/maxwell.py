@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolation, TimeStepError
+from .errors import ConfigError, ContractViolation, TimeStepError
 from .grid import PeriodicGrid, ScalarField, VectorField3, _along, _fft, _ifft_real
 
 log = logging.getLogger(__name__)
@@ -141,6 +141,8 @@ def init_compatible(
 
     E0 is the lattice-Poisson gradient part plus discretely divergence-free
     transverse modes; B0 is the staggered curl of the given edge potential.
+    A mode whose numbers are all multiples of the node counts is the grid's
+    k = 0 mode, which has no transverse direction, and is a ConfigError.
     Any mean of rho0 is unsupported on the periodic box; it is logged and
     removed.
     """
@@ -159,18 +161,16 @@ def init_compatible(
     )
     h = np.asarray(grid.spacing)
     for mode in modes:
+        if all(n % N == 0 for n, N in zip(mode.n, grid.n_cells)):
+            raise ConfigError(f"EM mode {mode.n} is the zero mode of a grid of {grid.n_cells} nodes")
         k = np.array([2.0 * np.pi * mode.n[a] / grid.box_length[a] for a in range(3)])
         ktil = 2.0 * np.sin(0.5 * k * h) / h  # staggered-difference wavevector
         kt2 = float(np.dot(ktil, ktil))
-        if kt2 == 0.0:
-            raise ContractViolation(f"mode {mode.n} has zero wavevector")
         trial = np.zeros(3)
         trial[(np.argmax(np.abs(ktil)) + 1 + mode.polarization) % 3] = 1.0
+        # the trial axis is not the largest of ktil, so |pol|^2 = 1 - ktil_t^2/kt2 >= 1/2
         pol = trial - np.dot(trial, ktil) / kt2 * ktil
-        norm = np.linalg.norm(pol)
-        if norm < 1e-12:
-            raise ContractViolation(f"cannot build a transverse polarization for mode {mode.n}")
-        pol = pol / norm * mode.amplitude
+        pol = pol / np.linalg.norm(pol) * mode.amplitude
         for a in range(3):
             offsets = [0.0, 0.0, 0.0]
             offsets[a] = 0.5

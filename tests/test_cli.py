@@ -79,6 +79,14 @@ class TestRun:
         assert code == cli.EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
 
+    def test_threads_below_one_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 0\nrun.n_steps = 1\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--output", str(out), "--threads", "0"]) == cli.EXIT_CONFIG
+        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unstable_dt_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "fast.cfg"
         cfg.write_text("grid.n = 16\nrun.dt = 1.0\nkinetic.n_particles = 0\n")
@@ -130,8 +138,11 @@ class TestRun:
             "kinetic.n_particles = 2\nkinetic.f0.kind = delta",
             "kinetic.n_particles = 0\nllg.initial = hopfion\nllg.init_radius = 5.0",
             "kinetic.f0.kind = kappa\nllg.initial = vortex\nllg.stabilizer_c = 0.01",
+            "kinetic.n_particles = 0\nem.init_modes = 8,0,0,1",  # k = 0 on 8 nodes, yet sin(pi) != 0
+            "kinetic.n_particles = 0\nllg.initial = skyrmion_tube\nllg.init_radius = 5.0",
         ],
-        ids=["unstable-dt", "bad-mode", "delta-with-two", "radius-too-large", "kind-texture-stabilizer"],
+        ids=["unstable-dt", "bad-mode", "delta-with-two", "radius-too-large", "kind-texture-stabilizer",
+             "aliased-zero-mode", "skyrmion-radius-too-large"],
     )
     def test_config_error_leaves_no_output_dir(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"

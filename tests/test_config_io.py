@@ -8,7 +8,7 @@ import pytest
 from llgvm import PeriodicGrid, ScalarField, VectorField3, hopf_invariant, read_snapshot, write_snapshot
 from llgvm import snapshots
 from llgvm.config import SCHEMA, default_config, parse_config, parse_config_text
-from llgvm.errors import ConfigError, SnapshotError
+from llgvm.errors import ConfigError, ContractViolation, SnapshotError
 from llgvm.kinetic import ParticleEnsemble
 from llgvm.magnetization import LLCoefficients, MagnetizationField
 from llgvm.maxwell import EMMode
@@ -135,7 +135,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"<string>:2: bad value for {key}: not a finite number"):
             parse_config_text(f"grid.n = 8\n{key} = {value}\n")
 
-    @pytest.mark.parametrize("entry", ["1,0,0,nan", "1,0,0,-inf", "0,0,0,1.0", "1,0,0,0.1,2", "1,1,0,0.1,7"])
+    @pytest.mark.parametrize(
+        "entry", ["1,0,0,nan", "1,0,0,-inf", "0,0,0,1.0", "1,0,0,0.1,2", "1,1,0,0.1,7", "1,0,1"]
+    )
     def test_bad_em_mode_rejected(self, entry):
         with pytest.raises(ConfigError, match="<string>:1: bad value for em.init_modes: bad em.init_modes entry"):
             parse_config_text(f"em.init_modes = 0,1,1,0.5; {entry}\n")
@@ -360,8 +362,10 @@ class TestSnapshots:
             ("particles", 6, -1.0, "non-negative"),  # the weight of particle 0
             ("m", 1, np.nan, "alpha must be positive"),
             ("m", 0, np.inf, "h must be finite"),
+            ("particles", 0, np.nan, "NaN"),  # the x of particle 0
         ],
-        ids=["m-not-unit", "alpha-not-positive", "nan-field-value", "negative-weight", "alpha-nan", "h-inf"],
+        ids=["m-not-unit", "alpha-not-positive", "nan-field-value", "negative-weight", "alpha-nan", "h-inf",
+             "particle-nan"],
     )
     def test_payload_failing_its_object_checks(self, grid16, tmp_path, kind, index, value, message):
         rng = np.random.default_rng(8)
@@ -405,6 +409,39 @@ class TestSnapshots:
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapshotError, match="version"):
             read_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("missing", "cannot read snapshot"),
+            ("directory", "cannot read snapshot"),
+            ("short", "no complete header"),
+            ("big-endian", "endianness"),
+            ("kind-9", "unknown payload kind 9"),
+        ],
+    )
+    def test_bad_header_detected(self, grid16, tmp_path, damage, message):
+        path = tmp_path / "h.snap"
+        write_snapshot(band_limited_vector(grid16, 208), path, "E")
+        raw = bytearray(path.read_bytes())
+        if damage == "missing":
+            path = tmp_path / "absent.snap"
+        elif damage == "directory":
+            path = tmp_path
+        elif damage == "short":
+            path.write_bytes(raw[: snapshots._HEADER.size - 1])
+        else:  # byte 8 holds the flags, byte 9 the kind
+            raw[8:10] = b"\x01\x02" if damage == "big-endian" else b"\x00\x09"
+            path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotError, match=message) as err:
+            read_snapshot(path)
+        assert str(path) in str(err.value)
+
+    def test_unknown_object_not_written(self, tmp_path):
+        path = tmp_path / "o.snap"
+        with pytest.raises(ContractViolation, match="cannot snapshot object of type object"):
+            write_snapshot(object(), path)
+        assert not path.exists()
 
     def test_bad_magic_detected(self, tmp_path):
         path = tmp_path / "junk.snap"

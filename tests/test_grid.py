@@ -46,6 +46,10 @@ class TestPeriodicGrid:
         with pytest.raises(ContractViolation):
             PeriodicGrid.cubic(n, BOX)
 
+    def test_rejects_two_axes(self):
+        with pytest.raises(ContractViolation, match="grid needs three axes"):
+            PeriodicGrid((16, 16), (BOX, BOX))
+
     def test_rejects_nonpositive_box(self):
         with pytest.raises(ContractViolation):
             PeriodicGrid.cubic(16, -1.0)
@@ -192,6 +196,11 @@ class TestHsNorm:
     def test_matches_l2_at_s_zero(self, grid16):
         f = band_limited_scalar(grid16, 13)
         assert hs_norm(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf])
+    def test_rejects_non_finite_s(self, grid16, s):
+        with pytest.raises(ContractViolation, match="s must be finite"):
+            hs_norm(ScalarField.zeros(grid16), s)
 
     def test_monotone_in_s(self, grid16):
         for seed in range(5):

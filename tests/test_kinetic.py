@@ -139,6 +139,31 @@ class TestSampling:
         with pytest.raises(ConfigError):
             sample_initial(BumpMaxwellian(CENTER, 3.0, 0.3), 100, 0, grid16)
 
+    # A run takes its spec class from F0_KINDS, so only a Python caller can pass an unknown spec.
+    @pytest.mark.parametrize(
+        "spec, n, message",
+        [(UniformMaxwellian(0.4), 0, "need at least one particle"), (object(), 10, "unknown initial distribution")],
+        ids=["no-particles", "unknown-spec"],
+    )
+    def test_unusable_request_rejected(self, grid16, spec, n, message):
+        with pytest.raises(ConfigError, match=message):
+            sample_initial(spec, n, 0, grid16)
+
+    @pytest.mark.parametrize(
+        "spec, m2",
+        [
+            (UniformMaxwellian(0.5, mass=2.0), 1.5),  # 2 * 3 * 0.5^2
+            (DeltaSpec((1.0, 2.0, 3.0), (0.5, 0.0, -0.25), mass=2.5), 0.78125),  # 2.5 * 0.3125
+        ],
+        ids=["uniform", "delta"],
+    )
+    def test_analytic_m2_closed_form(self, spec, m2):
+        assert analytic_m2(spec) == m2
+
+    def test_analytic_m2_rejects_an_unknown_spec(self):
+        with pytest.raises(ConfigError, match="unknown initial distribution"):
+            analytic_m2(object())
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ContractViolation):
             ParticleEnsemble(np.zeros((3, 1)), np.zeros((3, 1)), [-1.0])
@@ -277,6 +302,11 @@ class TestLorentzPush:
         efield = VectorField3.zeros(grid16)
         with pytest.raises(ContractViolation, match="dt must be positive and finite"):
             lorentz_push(p, efield, efield, dt)
+
+    def test_field_grids_must_agree(self, grid16, grid32):
+        p = sample_initial(UniformMaxwellian(0.4), 8, 1, grid16)
+        with pytest.raises(ContractViolation, match="field grids differ"):
+            lorentz_push(p, VectorField3.zeros(grid16), VectorField3.zeros(grid32), 0.1)
 
     def test_nan_fields_abort(self, grid16):
         h = grid16.spacing[0]
@@ -656,6 +686,8 @@ class TestMoments:
         report = moment_report(ParticleEnsemble.empty(), grid16, k_list=(0, 1, 2))
         assert report.m0 == 0.0
         assert report.m2 == 0.0
+        density = deposit_moment(ParticleEnsemble.empty(), grid16, 2)
+        assert density.grid == grid16 and not np.any(density.values)
 
     def test_homogeneity_under_weight_scaling(self, grid16):
         p = sample_initial(BumpMaxwellian(CENTER, 1.4, 0.3), 4000, 3, grid16)

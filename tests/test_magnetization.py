@@ -18,10 +18,10 @@ from llgvm import (
     ll_rhs,
     step,
 )
-from llgvm.errors import BlowUpError, ContractViolation, StateCorruption, TimeStepError
+from llgvm.errors import BlowUpError, ConfigError, ContractViolation, StateCorruption, TimeStepError
 from llgvm.grid import _fft, _ifft_real
 from llgvm.magnetization import MagnetizationField, _rhs, unit_normalize
-from llgvm.textures import random_smooth_unit, skyrmion_tube, uniform_texture
+from llgvm.textures import make_texture, random_smooth_unit, skyrmion_tube, uniform_texture
 
 from conftest import BOX, band_limited_vector, random_unit_mf, rel_l2
 
@@ -80,6 +80,10 @@ class TestEnergy:
         bad[2] *= 1.5
         with pytest.raises(StateCorruption):
             MagnetizationField(grid16, bad, H_ZEEMAN, ALPHA)
+
+    def test_rejects_shape_not_matching_grid(self, grid16, grid32):
+        with pytest.raises(ContractViolation, match="shape does not match grid"):
+            MagnetizationField(grid16, uniform_texture(grid32), H_ZEEMAN, ALPHA)
 
 
 class TestCachedSpectrum:
@@ -326,3 +330,15 @@ class TestStep:
                 unit_normalize(vals, blow_up_floor=0.5)
             with pytest.raises(ContractViolation, match="cannot normalize a zero or non-finite vector"):
                 unit_normalize(vals)
+
+
+class TestMakeTexture:
+    def test_uniform(self, grid16):
+        mf = make_texture("uniform", grid16, H_ZEEMAN, ALPHA)
+        assert np.array_equal(mf.m, uniform_texture(grid16))
+        assert (mf.h_zeeman, mf.alpha) == (H_ZEEMAN, ALPHA)
+
+    def test_unknown_name_rejected(self, grid16):
+        # a run's llg.initial is one of TEXTURE_NAMES by config, so only a Python caller gets here
+        with pytest.raises(ConfigError, match="unknown initial texture 'vortex'"):
+            make_texture("vortex", grid16, H_ZEEMAN, ALPHA)

@@ -14,7 +14,7 @@ from llgvm import (
     init_compatible,
     step_fields,
 )
-from llgvm.errors import ContractViolation, TimeStepError
+from llgvm.errors import ConfigError, ContractViolation, TimeStepError
 from llgvm.maxwell import (
     avg_B_to_nodes,
     avg_E_to_nodes,
@@ -108,9 +108,20 @@ class TestInitCompatible:
         res = div_edge(em.E.values, grid16)
         assert np.abs(res).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [(0, 0, 0), (16, 16, 0)], ids=["zero", "aliased-zero"])
+    def test_zero_mode_rejected(self, grid16, n):
+        # sin(pi) is 1.2e-16, not 0: only the integer test sees (16, 16, 0) as k = 0 on 16^3
+        with pytest.raises(ConfigError, match=r"is the zero mode of a grid of \(16, 16, 16\) nodes") as err:
+            init_compatible(ScalarField.zeros(grid16), modes=(EMMode(n, 1.0),))
+        assert f"EM mode {n}" in str(err.value)
+
     def test_constitutive_constants_validated(self, grid16):
         with pytest.raises(ContractViolation):
             EMFieldPair.zeros(grid16, eps_r=0.5)
+
+    def test_e_and_b_grids_must_agree(self, grid16, grid32):
+        with pytest.raises(ContractViolation, match="different grids"):
+            EMFieldPair(VectorField3.zeros(grid16), VectorField3.zeros(grid32), 1.0, 1.0)
 
 
 class TestStepFields:
@@ -118,6 +129,10 @@ class TestStepFields:
     def test_non_finite_dt_rejected(self, grid16, dt):
         with pytest.raises(ContractViolation, match="dt must be positive and finite"):
             step_fields(EMFieldPair.zeros(grid16), None, dt)
+
+    def test_current_grid_must_match(self, grid16, grid32):
+        with pytest.raises(ContractViolation, match="current grid mismatch"):
+            step_fields(EMFieldPair.zeros(grid16), VectorField3.zeros(grid32), 1e-3)
 
     def test_zero_state_stays_zero(self, grid16):
         # every bit is zero, so the source-free step returns its input
