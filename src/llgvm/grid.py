@@ -19,6 +19,18 @@ and then one ``np.fft.irfft`` over z, bitwise equal to irfftn.
 writable array the caller owns, and a read-only one (a cached spectrum)
 raises ValueError untouched.
 
+The 2/3 rule keeps the box |n_i| <= N_i // 3 of mode numbers, so a dealiased
+pair (``dealias``, the LLG step's rate) transforms only the lines that box
+meets: ``_fft_dealiased`` runs the y pass on the kept kz planes and the x
+pass on the kept (ky, kz) lines before it multiplies by a symbol that is zero
+outside the box (the mask, or the mask over the LLG step's implicit
+denominator), and ``_ifft_dealiased`` skips the same zero lines before its
+full z pass.  Each line it transforms is bitwise the line of the full
+transform.  A complex spectrum is divided by a real array as a product with
+its reciprocal: numpy's complex / real is (re + im * 0) * (1 / d), so the
+product is bitwise equal on every nonzero part and may differ only in the
+sign of a zero part.  A real / real quotient stays a division.
+
 Real-space chains of node-wise arithmetic (the LLG right-hand side and
 renormalization, the emergent triple products, the |m| checks) run over the
 x-slabs of ``_slabs``, about ``_SLAB_NODES`` nodes each, so that a chain's
@@ -271,12 +283,53 @@ def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
+def _dealiased_lines(grid: PeriodicGrid) -> tuple[slice, tuple[slice, slice]]:
+    """The kz planes and the two ky blocks, in FFT order, that the 2/3 rule keeps."""
+    _, ny, nz = grid.n_cells
+    cy = ny // 3
+    return slice(0, nz // 3 + 1), (slice(0, cy + 1), slice(ny - cy, ny))
+
+
+def _fft_dealiased(grid: PeriodicGrid, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """_fft(values) * symbol for a symbol that is zero outside the 2/3 box, e.g. grid.dealias_mask.
+
+    The y and x passes run only on the lines the box keeps, each bitwise that
+    line of _fft; the product is equal to the full one by ==, and a masked
+    zero may differ in sign.
+    """
+    kz, ky_blocks = _dealiased_lines(grid)
+    out = np.empty((*values.shape[:-1], values.shape[-1] // 2 + 1), np.complex128)
+    np.fft.rfft(values, axis=-1, out=out)
+    planes = out[..., kz]
+    np.fft.fft(planes, axis=-2, out=planes)
+    for ky in ky_blocks:
+        lines = out[..., ky, kz]
+        np.fft.fft(lines, axis=-3, out=lines)
+    out *= symbol
+    return out
+
+
+def _ifft_dealiased(grid: PeriodicGrid, spec: np.ndarray) -> np.ndarray:
+    """_ifft_real(spec), bitwise, for a spec that is zero outside the 2/3 box; consumes spec.
+
+    The x pass skips the masked (ky, kz) lines and the y pass the masked kz
+    planes, whose inverse is zero; the z pass is full.
+    """
+    kz, ky_blocks = _dealiased_lines(grid)
+    for ky in ky_blocks:
+        lines = spec[..., ky, kz]
+        np.fft.ifft(lines, axis=-3, out=lines)
+    planes = spec[..., kz]
+    np.fft.ifft(planes, axis=-2, out=planes)
+    return np.fft.irfft(spec, n=2 * (spec.shape[-1] - 1), axis=-1)
+
+
 def _spectral_power(grid: PeriodicGrid, spec: np.ndarray, weight=1.0) -> float:
     """sum_k weight(k) |spec(k)/N|^2 over the full spectrum, from the half spectrum.
 
     Consumes ``spec``.
     """
-    amp = np.divide(spec, grid.n_nodes, out=spec)
+    amp = np.multiply(spec, 1.0 / grid.n_nodes, out=spec)
     power = np.square(amp.real)
     power += np.square(amp.imag, out=amp.imag)
     power *= grid.parseval_weight * weight
@@ -293,7 +346,11 @@ def grad(field: ScalarField) -> VectorField3:
 def _div_spectrum(grid: PeriodicGrid, spec: np.ndarray) -> np.ndarray:
     """ik . v_hat, the half spectrum of div v from the half spectrum of v."""
     ik = grid._ik
-    return ik[0] * spec[0] + ik[1] * spec[1] + ik[2] * spec[2]
+    out = ik[0] * spec[0]
+    term = ik[1] * spec[1]
+    out += term
+    out += np.multiply(ik[2], spec[2], out=term)
+    return out
 
 
 def _curl_spectrum(grid: PeriodicGrid, spec: np.ndarray):
@@ -337,7 +394,8 @@ def biharmonic(field: Field) -> Field:
 
 def dealias(field: Field) -> Field:
     """Zero all modes beyond the 2/3 rule (used on nonlinear right-hand sides)."""
-    return type(field)(field.grid, _filter(field.values, field.grid.dealias_mask))
+    g = field.grid
+    return type(field)(g, _ifft_dealiased(g, _fft_dealiased(g, field.values, g.dealias_mask)))
 
 
 def l2_inner(a: Field, b: Field) -> float:

@@ -19,6 +19,10 @@ by ll_rhs.  One step of the integrator is first-order IMEX: a
 constant-coefficient biharmonic stabilizer c*bih is treated implicitly
 (diagonal in Fourier space), the rest explicitly with a 2/3-rule dealiased
 right-hand side, followed by node-wise renormalization onto the unit sphere.
+The rate's dealiased pair of transforms (grid._fft_dealiased,
+grid._ifft_dealiased) runs only over the lines the 2/3 box keeps, and the
+mask and the implicit denominator are one product with the real symbol
+mask / denom.
 
 The node-wise chains (the rate after its one inverse transform, the
 re-projection, m* and its renormalization, the |m| = 1 check) run over the
@@ -37,7 +41,8 @@ import numpy as np
 
 from .errors import BlowUpError, ContractViolation, StateCorruption, TimeStepError
 from .grid import (
-    PeriodicGrid, VectorField3, _cross, _fft, _ifft_real, _partials, _slabs, _spectral_power,
+    PeriodicGrid, VectorField3, _cross, _fft, _fft_dealiased, _ifft_dealiased, _ifft_real,
+    _partials, _slabs, _spectral_power,
 )
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -76,6 +81,7 @@ class MagnetizationField:
 
     m is a read-only copy, checked here once to |m| = 1 within 1e-12 for every operator,
     so the spectrum and partials cached on first use describe it; with_m makes a new state.
+    step's new state adopts the fresh output of unit_normalize instead (_adopt_m).
     """
 
     grid: PeriodicGrid
@@ -84,7 +90,14 @@ class MagnetizationField:
     alpha: float
 
     def __post_init__(self):
-        arr = np.array(self.m, dtype=np.float64)  # a private copy, frozen below
+        self._set_m(np.array(self.m, dtype=np.float64))  # a private copy
+        if not 0.0 < self.alpha < np.inf:
+            raise ContractViolation("Gilbert damping alpha must be positive and finite")
+        if not np.isfinite(self.h_zeeman):
+            raise ContractViolation("Zeeman constant h must be finite")
+
+    def _set_m(self, arr: np.ndarray):
+        """Check arr to |m| = 1 and freeze it as this state's m."""
         if arr.shape != (3, *self.grid.shape):
             raise ContractViolation("magnetization shape does not match grid")
         dev = 0.0
@@ -95,11 +108,14 @@ class MagnetizationField:
             dev = max(dev, np.abs(np.sqrt(np.sum(slab**2, axis=0)) - 1.0).max())
         if dev > 1e-12:
             raise StateCorruption(f"|m| deviates from 1 by {dev:.3e} (> 1e-12)")
-        if not 0.0 < self.alpha < np.inf:
-            raise ContractViolation("Gilbert damping alpha must be positive and finite")
-        if not np.isfinite(self.h_zeeman):
-            raise ContractViolation("Zeeman constant h must be finite")
         object.__setattr__(self, "m", _read_only(arr))
+
+    def _adopt_m(self, new_m: np.ndarray) -> "MagnetizationField":
+        """with_m for an array nothing else holds: checked and frozen in place, not copied."""
+        new = object.__new__(MagnetizationField)
+        new.__dict__.update(grid=self.grid, h_zeeman=self.h_zeeman, alpha=self.alpha)
+        new._set_m(new_m)
+        return new
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -245,17 +261,16 @@ def step(
     alpha2 = 1.0 + mf.alpha**2
     k2 = g.k_squared
     denom = alpha2 + coeffs.stabilizer_c * dt * k2 * k2
-    rhs_spec = _fft(_rhs(mf, j))  # the rate's node array dies here
-    rhs_spec *= g.dealias_mask
-    rhs_spec /= denom
+    # the rate's node array dies here; mask and reciprocal are one product
+    rhs_spec = _fft_dealiased(g, _rhs(mf, j), g.dealias_mask / denom)
     # Re-project the dealiased, stabilized rate onto the tangent space so the
     # renormalization stays a second-order correction even for marginally
     # resolved data.
-    m_star = _ifft_real(rhs_spec)  # the rate, turned into m* slab by slab
+    m_star = _ifft_dealiased(g, rhs_spec)  # the rate, turned into m* slab by slab
     for s in _slabs(g.shape):
         m = mf.m[:, s]
         rate = m_star[:, s]
         rate -= np.sum(rate * m, axis=0) * m
         rate *= dt * alpha2
         rate += m
-    return mf.with_m(unit_normalize(m_star, blow_up_floor=0.5))
+    return mf._adopt_m(unit_normalize(m_star, blow_up_floor=0.5))

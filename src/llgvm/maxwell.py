@@ -155,7 +155,8 @@ def init_compatible(
     symbol = _seven_point_symbol(grid)
     symbol_safe = symbol.copy()
     symbol_safe.flat[0] = 1.0
-    phi = _ifft_real(spec / (eps_r * symbol_safe))
+    spec *= 1.0 / (eps_r * symbol_safe)
+    phi = _ifft_real(spec)
     evals = np.stack(
         [-_fwd_diff(phi, a, grid.spacing[a]) for a in range(3)]
     )

@@ -87,7 +87,11 @@ def _potential_spectrum(b: VectorField3):
     spec[:, 0, 0, 0] = 0.0
     k2 = g.k_squared.copy()
     k2[0, 0, 0] = 1.0
-    return tuple(c / k2 for c in _curl_spectrum(g, spec)), spec
+    inv_k2 = 1.0 / k2
+    a_spec = np.empty_like(spec)
+    for a, c in zip(a_spec, _curl_spectrum(g, spec)):
+        np.multiply(c, inv_k2, out=a)
+    return a_spec, spec
 
 
 def vector_potential(b: VectorField3) -> VectorField3:
@@ -124,7 +128,13 @@ def helicity(mf: MagnetizationField, b: VectorField3 | None = None) -> float:
         return 0.0
     g = b.grid
     a_spec, b_spec = spectra
-    cross_power = sum(a.real * c.real + a.imag * c.imag for a, c in zip(a_spec, b_spec))
+    # Re(a conj(b)) per mode: one product over the float64 views, written over
+    # a_spec, which only this sum reads, then re + im
+    products = a_spec.view(np.float64)
+    products *= b_spec.view(np.float64)
+    pairs = products[..., 0::2] + products[..., 1::2]
+    cross_power = pairs[0] + pairs[1]
+    cross_power += pairs[2]
     return float(g.volume * np.sum(g.parseval_weight * cross_power) / g.n_nodes**2)
 
 

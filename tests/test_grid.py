@@ -29,7 +29,7 @@ from llgvm import (
     mollify,
 )
 from llgvm.errors import ContractViolation
-from llgvm.grid import _cross, _fft, _ifft_real, _spectral_power
+from llgvm.grid import _cross, _fft, _fft_dealiased, _ifft_dealiased, _ifft_real, _spectral_power
 from llgvm.textures import random_smooth_unit
 
 from conftest import BOX, band_limited_scalar, band_limited_vector
@@ -279,15 +279,36 @@ class TestHalfSpectrum:
         self._assert_close(laplacian(v).values, self._ifftn_real(-k2 * sv))
         self._assert_close(biharmonic(u).values, self._ifftn_real(k2 * k2 * su))
 
-    def test_dealias_matches_full_fft(self):
-        g = self.GRID
-        v = VectorField3(g, np.random.default_rng(41).standard_normal((3, *g.shape)))
+    def _assert_dealias_matches_full_fft(self, g, seed):
+        v = VectorField3(g, np.random.default_rng(seed).standard_normal((3, *g.shape)))
         keep = np.ones(g.shape, dtype=bool)
         for axis, n in enumerate(g.n_cells):
             shape = [1, 1, 1]
             shape[axis] = n
-            keep &= (np.abs(np.fft.fftfreq(n) * n) <= n // 3).reshape(shape)
+            modes = (np.arange(n) + n // 2) % n - n // 2  # integers in FFT order
+            keep &= (np.abs(modes) <= n // 3).reshape(shape)
         self._assert_close(dealias(v).values, self._ifftn_real(self._fftn(v.values) * keep))
+
+    def test_dealias_matches_full_fft(self):
+        self._assert_dealias_matches_full_fft(self.GRID, 41)
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 6, 8), (6, 4, 10), (48, 48, 48)], ids=lambda s: "x".join(map(str, s))
+    )
+    def test_dealiased_pair_skips_only_zero_lines(self, shape):
+        # the pruned pair against the full transforms: the forward equal by ==
+        # (a masked zero may change sign) and bitwise on every kept mode, the
+        # inverse bitwise
+        g = PeriodicGrid(shape, (3.0, 5.0, 7.0))
+        values = np.random.default_rng(47).standard_normal((3, *shape))
+        ref = _fft(values) * g.dealias_mask
+        spec = _fft_dealiased(g, values, g.dealias_mask)
+        assert np.array_equal(spec, ref)
+        kept = np.broadcast_to(g.dealias_mask, ref.shape)
+        assert spec[kept].tobytes() == ref[kept].tobytes()
+        assert _ifft_dealiased(g, ref.copy()).tobytes() == _ifft_real(ref.copy()).tobytes()
+        assert _ifft_dealiased(g, spec).tobytes() == _ifft_real(ref).tobytes()
+        self._assert_dealias_matches_full_fft(g, 41)
 
     def test_parseval_sums_match_full_fft(self):
         g = self.GRID
@@ -383,6 +404,29 @@ class TestTransforms:
             _ifft_real(ik[0] * s[1] - ik[1] * s[0]),
         ]
         assert np.array_equal(curl(v).values, np.stack(ref_curl))
+
+    def test_complex_over_real_is_a_product_with_the_reciprocal(self):
+        # numpy divides a complex array by a real one as (re + im*0) * (1/d), so
+        # the product with 1/d is bitwise equal on every nonzero part; a zero part
+        # may change sign.  A numpy change to complex division fails here.
+        g = PeriodicGrid((8, 12, 16), (3.0, 5.0, 7.0))
+        spec = _fft(np.random.default_rng(53).standard_normal(g.shape))
+        # the Nyquist planes stay as rfftn gives them; the self-conjugate modes
+        # there, such as (0, 0, Nz/2) and (Nx/2, Ny/2, Nz/2), have no imaginary part
+        spec[1, 2, :4] = [0.0, complex(-0.0, 1.5), complex(2.5, -0.0), complex(-0.0, -0.0)]
+        spec[2, 3, :3] = [1e-310, complex(-1e150, 1e-300), complex(5e-324, -3.0)]
+        k2 = g.k_squared.copy()
+        k2[0, 0, 0] = 1.0
+        for d in (1.01 + 0.3 * k2 * k2, k2, g.n_nodes):
+            quotient, product = spec / d, spec * (1.0 / d)
+            assert np.array_equal(quotient, product)
+            for q, p in ((quotient.real, product.real), (quotient.imag, product.imag)):
+                nonzero = p != 0.0
+                assert q[nonzero].tobytes() == p[nonzero].tobytes()
+        # the squares drop a zero's sign, so the Parseval sum is the quotient's
+        amp = spec / g.n_nodes
+        power = (np.square(amp.real) + np.square(amp.imag)) * g.parseval_weight
+        assert _spectral_power(g, spec.copy()) == float(np.sum(power))
 
     def test_cached_spectrum_is_refused_untouched(self, grid16):
         mf = MagnetizationField(grid16, random_smooth_unit(grid16, 31, 0.3, 2), 0.5, 0.1)

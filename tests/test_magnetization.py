@@ -16,6 +16,7 @@ from llgvm import (
     l2_norm,
     laplacian,
     ll_rhs,
+    magnetization,
     step,
 )
 from llgvm.errors import BlowUpError, ConfigError, ContractViolation, StateCorruption, TimeStepError
@@ -100,6 +101,33 @@ class TestCachedSpectrum:
         vals[2] = -1.0
         assert np.all(mf.m[2] == 1.0)
         assert vals.flags.writeable
+
+    def test_step_adopts_its_fresh_m_read_only(self, grid16, monkeypatch):
+        mf = random_unit_mf(grid16, 7, amplitude=0.2, k_cut=2)
+        vals = mf.m.copy()
+        nxt = mf.with_m(vals)
+        vals[2] = -1.0  # the public path copies
+        assert np.array_equal(nxt.m, mf.m)
+        normalized = []
+
+        def recorded(values, blow_up_floor=None):
+            normalized.append(unit_normalize(values, blow_up_floor))
+            return normalized[-1]
+
+        monkeypatch.setattr(magnetization, "unit_normalize", recorded)
+        nxt = step(mf, None, 1e-5, LLCoefficients.from_alpha(ALPHA))
+        assert nxt.m is normalized[0]  # adopted, not copied
+        assert (nxt.grid, nxt.h_zeeman, nxt.alpha) == (mf.grid, mf.h_zeeman, mf.alpha)
+        with pytest.raises(ValueError):
+            nxt.m[2, 0, 0, 0] = 1.0
+        # the adopted array passes the constructor's checks
+        bad = uniform_texture(grid16)
+        bad[2, 0, 0, 0] = 1.0 + 1e-9
+        with pytest.raises(StateCorruption):
+            mf._adopt_m(bad)
+        bad[2, 0, 0, 0] = np.nan
+        with pytest.raises(ContractViolation, match="NaN or Inf"):
+            mf._adopt_m(bad)
 
     def test_with_m_spectrum_is_the_transform_of_the_new_field(self, grid16):
         mf = random_unit_mf(grid16, 4)

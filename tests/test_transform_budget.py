@@ -1,8 +1,13 @@
 """Transform, stencil and deposit budget of one coupled step plus its ledger row.
 
-Every field transform is a real-data one: a forward transform is one rfftn,
-and an inverse is one in-place ifftn over x and y, on a complex half
-spectrum, plus one irfft over z.  The spectrum and partials of m are taken
+Transforms are counted as logical ones, each a call of one of grid's four
+transform functions: a forward transform is _fft (one rfftn) or the pruned
+_fft_dealiased, and an inverse is _ifft_real (one in-place ifftn over x and y
+plus one irfft over z) or the pruned _ifft_dealiased.  The numpy.fft calls
+inside them are not counted one by one, and any numpy.fft call outside them
+is logged by its own name, so that it fails the budget.  Every field
+transform is a real-data one: a forward transform takes real values and an
+inverse a complex half spectrum.  The spectrum and partials of m are taken
 once per state, and nothing transforms a field known to be zero.  The
 LLG rate takes one inverse transform, of (k^4 - k^2) m_hat, the helicity is a
 Parseval sum that takes none, and no cross product goes through np.cross.
@@ -24,7 +29,7 @@ import sys
 import numpy as np
 import pytest
 
-from llgvm import coupler, emergent, kinetic, topology
+from llgvm import coupler, emergent, grid, kinetic, topology
 from llgvm.config import parse_config_text
 from llgvm.grid import l2_norm
 from llgvm.maxwell import gauss_residual
@@ -32,6 +37,13 @@ from llgvm.runner import build_state, ledger_row, validate_dt
 from llgvm.smoothing import Mollifier, mollify
 
 FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
+# grid's transform functions, each one logical transform, by the index of its array argument
+LOGICAL = {
+    "_fft": ("forward", 0),
+    "_fft_dealiased": ("forward", 1),
+    "_ifft_real": ("inverse", 0),
+    "_ifft_dealiased": ("inverse", 1),
+}
 
 HOPFION16 = "grid.n = 16\nllg.initial = hopfion\nkinetic.n_particles = 0\nrun.dt = 1e-5\n"
 # the physics of configs/hopfion.cfg, where the Hopf column is finite
@@ -43,16 +55,36 @@ COUPLED16 = "grid.n = 16\nkinetic.n_particles = 400\nrun.dt = 5e-4\n"
 
 
 def _logged_transforms(mp):
-    """Log each numpy.fft call as (name, all-zero input, complex input)."""
+    """Log each logical transform as (kind, all-zero input, complex input).
+
+    kind is "forward" or "inverse" for a call of a LOGICAL function, in every
+    llgvm module that imports it, and the function's name for a numpy.fft call
+    made outside them.
+    """
     log = []
+    inside = []
+
+    def logged(original, kind, arg):
+        def counted(*args, **kwargs):
+            if not inside:
+                a = args[arg]
+                log.append((kind, not np.any(a), np.iscomplexobj(a)))
+            inside.append(kind)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return counted
+
     for name in FFT_NAMES:
-        original = getattr(np.fft, name)
-
-        def counted(a, *args, _name=name, _original=original, **kwargs):
-            log.append((_name, not np.any(a), np.iscomplexobj(a)))
-            return _original(a, *args, **kwargs)
-
-        mp.setattr(np.fft, name, counted)
+        mp.setattr(np.fft, name, logged(getattr(np.fft, name), name, 0))
+    for name, (kind, arg) in LOGICAL.items():
+        original = getattr(grid, name)
+        counted = logged(original, kind, arg)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "llgvm" and getattr(module, name, None) is original:
+                mp.setattr(module, name, counted)
     return log
 
 
@@ -102,12 +134,12 @@ def test_step_and_ledger_row_budget(monkeypatch, cfg_text, forward, inverse, hop
     row, log, b_calls, crosses = _step_and_row(monkeypatch, cfg_text)
     assert b_calls == 1  # the ledger's Hopf column reads the step's emergent b
     assert crosses == 0
-    names = [name for name, _, _ in log]
-    assert names.count("rfftn") == forward
-    # an inverse is one ifftn over x and y, then one irfft over z
-    assert [name for name in names if name != "rfftn"] == ["ifftn", "irfft"] * inverse
-    # no complex transform of real data
-    assert all(is_complex for name, _, is_complex in log if name == "ifftn")
+    kinds = [kind for kind, _, _ in log]
+    assert kinds.count("forward") == forward
+    assert kinds.count("inverse") == inverse
+    assert len(kinds) == forward + inverse, "a numpy.fft call outside grid's transforms"
+    # no complex transform of real data, and no real data for an inverse
+    assert all(is_complex == (kind == "inverse") for kind, _, is_complex in log)
     assert not any(zero for _, zero, _ in log), "a transform of an all-zero input"
     assert np.isfinite(row["hopf"]) == hopf_finite
     if hopf_finite:
@@ -122,7 +154,7 @@ def test_first_read_of_a_particle_free_e(monkeypatch):
     log = _logged_transforms(monkeypatch)
     state.emergent.e
     # the previous state's spectrum and partials; the new state's are cached
-    assert [name for name, _, _ in log] == ["rfftn"] + ["ifftn", "irfft"] * 3
+    assert [kind for kind, _, _ in log] == ["forward"] + ["inverse"] * 3
     log.clear()
     state.emergent.e
     assert log == []
