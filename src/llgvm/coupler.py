@@ -56,6 +56,12 @@ class EnergyLedger:
     def total(self) -> float:
         return self.kinetic + self.em_energy + self.micromagnetic
 
+    @classmethod
+    def build(cls, mf: MagnetizationField, particles: ParticleEnsemble, em: EMFieldPair,
+              dissipation_cum: float, coupling_residual: float) -> EnergyLedger:
+        """The energies of mf, particles and em, with the dissipation and residual given."""
+        return cls(kinetic_energy(particles), em_energy(em), energy(mf), dissipation_cum, coupling_residual)
+
 
 def kinetic_energy(p: ParticleEnsemble) -> float:
     """1/2 sum w |v|^2, with |v|^2 summed in one n-array in the order vx, vy, vz."""
@@ -90,13 +96,6 @@ def make_initial_state(
     rho: ScalarField,
 ) -> SimState:
     """Initial state; rho is the raw deposited charge of particles, zero without any."""
-    ledger = EnergyLedger(
-        kinetic=kinetic_energy(particles),
-        em_energy=em_energy(em),
-        micromagnetic=energy(mf),
-        dissipation_cum=0.0,
-        coupling_residual=0.0,
-    )
     return SimState(
         t=0.0,
         step_index=0,
@@ -106,7 +105,7 @@ def make_initial_state(
         emergent=EmergentFieldPair.at_rest(mf),
         mollifier=mollifier,
         ll_coeffs=ll_coeffs,
-        ledger=ledger,
+        ledger=EnergyLedger.build(mf, particles, em, 0.0, 0.0),
         rho=rho,
     )
 
@@ -157,14 +156,8 @@ def advance(state: SimState, dt: float) -> SimState:
 
     dm_rate_sq = float(np.sum((mf_new.m - state.mf.m) ** 2)) * grid.cell_volume / dt**2
     residual = _phase(state, "ledger", energy_audit, state.em, em_new, e_half, j, j_s, e_tot)
-    ledger = _phase(
-        state, "ledger", EnergyLedger,
-        kinetic=kinetic_energy(particles),
-        em_energy=em_energy(em_new),
-        micromagnetic=_phase(state, "ledger", energy, mf_new),
-        dissipation_cum=state.ledger.dissipation_cum + state.mf.alpha * dt * dm_rate_sq,
-        coupling_residual=residual,
-    )
+    dissipation_cum = state.ledger.dissipation_cum + state.mf.alpha * dt * dm_rate_sq
+    ledger = _phase(state, "ledger", EnergyLedger.build, mf_new, particles, em_new, dissipation_cum, residual)
     return SimState(
         t=state.t + dt,
         step_index=state.step_index + 1,

@@ -447,7 +447,7 @@ def moment_report(
         three_over_q = 3.0 * (q_p - 1.0) / q_p
         exp_f = (k - kp) / (k + three_over_q)
         exp_mk = (kp + three_over_q) / (k + three_over_q)
-        m_k = totals.get(float(k), total_moment(p, k))
+        m_k = totals[float(k)] if float(k) in totals else total_moment(p, k)
         rhs = None
         if f_lp_norms is not None and q_p in f_lp_norms:
             rhs = float(f_lp_norms[q_p] ** exp_f * m_k**exp_mk)
@@ -461,7 +461,7 @@ def moment_report(
         }
     return MomentReport(
         m0=p.total_mass,
-        m2=totals.get(2.0, total_moment(p, 2)),
+        m2=totals[2.0] if 2.0 in totals else total_moment(p, 2),
         moment_totals=totals,
         lp_estimates=estimates,
     )

@@ -1,4 +1,8 @@
-"""Build a simulation from a parsed RunConfig, derived defaults resolved, and drive the time loop."""
+"""Build a simulation from a parsed RunConfig, derived defaults resolved, and drive the time loop.
+
+ledger.csv is written as the run goes, each row flushed when computed, so a
+run that fails after set-up keeps the rows of every step it finished.
+"""
 
 from __future__ import annotations
 
@@ -116,13 +120,6 @@ def ledger_row(state: SimState, diagnostics: bool = True) -> dict:
     }
 
 
-def write_ledger_csv(rows: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(LEDGER_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(format(row[c], ".17g") for c in LEDGER_COLUMNS) + "\n")
-
-
 def _write_snapshots(state: SimState, outdir: Path, tag: str) -> None:
     write_snapshot(state.mf, outdir / f"m_{tag}.snap", "m", state.t)
     write_snapshot(state.em.E, outdir / f"E_{tag}.snap", "E", state.t)
@@ -144,15 +141,16 @@ def run_simulation(cfg: RunConfig, output_dir=None) -> SimState:
     n_steps = cfg.values["run.n_steps"]
     every = cfg.values["run.snapshot_every"]
     diagnostics = cfg.values["run.topology_diagnostics"]
-    rows = [ledger_row(state, diagnostics)]
-    if every:
-        _write_snapshots(state, outdir, f"{0:06d}")
-    for n in range(1, n_steps + 1):
-        state = advance(state, dt)
-        rows.append(ledger_row(state, diagnostics))
-        if every and n % every == 0:
-            _write_snapshots(state, outdir, f"{n:06d}")
+    with open(outdir / "ledger.csv", "w", encoding="utf-8", newline="\n") as ledger:
+        ledger.write(",".join(LEDGER_COLUMNS) + "\n")
+        for n in range(n_steps + 1):  # n = 0 is the initial state
+            if n:
+                state = advance(state, dt)
+            row = ledger_row(state, diagnostics)
+            ledger.write(",".join(format(row[c], ".17g") for c in LEDGER_COLUMNS) + "\n")
+            ledger.flush()
+            if every and n % every == 0:
+                _write_snapshots(state, outdir, f"{n:06d}")
     _write_snapshots(state, outdir, "final")
-    write_ledger_csv(rows, outdir / "ledger.csv")
     log.info("run finished: %d steps to t = %.6g, output in %s", n_steps, state.t, outdir)
     return state

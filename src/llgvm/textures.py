@@ -31,12 +31,18 @@ def uniform_texture(grid: PeriodicGrid) -> np.ndarray:
     return out
 
 
-def _radial_profile(grid: PeriodicGrid, radius: float, n_axes: int):
+def _radial_profile(grid: PeriodicGrid, radius: float | None, n_axes: int, default_fraction: float, name: str):
     """The angle pi * (1 - S(r/R)) and the radial unit vector (0 at r = 0).
 
     r is the distance from the box centre over the first n_axes axes, and the
-    unit vector has those n_axes components.
+    unit vector has those n_axes components.  With L the shortest box length
+    over those axes, R defaults to default_fraction * L and must lie in (0, L/2].
     """
+    lmin = min(grid.box_length[:n_axes])
+    if radius is None:
+        radius = default_fraction * lmin
+    if not 0.0 < radius <= 0.5 * lmin:
+        raise ConfigError(f"{name} radius {radius} does not fit in the box")
     d = [x - 0.5 * l for x, l in zip(grid.node_mesh[:n_axes], grid.box_length)]
     r = np.sqrt(sum(di**2 for di in d))
     safe_r = np.where(r > 0.0, r, 1.0)
@@ -50,12 +56,7 @@ def skyrmion_tube(grid: PeriodicGrid, radius: float | None = None) -> np.ndarray
     The polar profile theta(r) = pi * (1 - S(r/R)) runs from pi at the tube
     axis to exactly 0 for r >= R.
     """
-    lx, ly, _ = grid.box_length
-    if radius is None:
-        radius = 0.3 * min(lx, ly)
-    if not 0.0 < radius <= 0.5 * min(lx, ly):
-        raise ConfigError(f"skyrmion radius {radius} does not fit in the box")
-    theta, (nx, ny) = _radial_profile(grid, radius, 2)
+    theta, (nx, ny) = _radial_profile(grid, radius, 2, 0.3, "skyrmion")
     sin_t = np.sin(theta)
     out = np.empty((3, *grid.shape))
     out[0] = sin_t * nx
@@ -92,12 +93,7 @@ def hopfion(grid: PeriodicGrid, radius: float | None = None) -> np.ndarray:
     band-limited (see band_limit_unit) so the emergent magnetic field is
     solenoidal to curl-inversion tolerance on the sampling grid.
     """
-    lmin = min(grid.box_length)
-    if radius is None:
-        radius = 0.375 * lmin
-    if not 0.0 < radius <= 0.5 * lmin:
-        raise ConfigError(f"hopfion radius {radius} does not fit in the box")
-    xi, (nx, ny, nz) = _radial_profile(grid, radius, 3)
+    xi, (nx, ny, nz) = _radial_profile(grid, radius, 3, 0.375, "hopfion")
     sin_xi = np.sin(xi)
     # Point on S^3 as a pair of complex numbers, then the Hopf map to S^2.
     z1 = np.cos(xi) - 1j * (sin_xi * nz)
@@ -123,9 +119,7 @@ def random_smooth_unit(
     u = _filter(white, grid.box_mask((k_cut,) * 3))
     rms = np.sqrt(np.mean(u**2, axis=(1, 2, 3), keepdims=True))
     u /= np.maximum(rms, 1e-300)
-    base = np.zeros_like(u)
-    base[2] = 1.0
-    return unit_normalize(base + amplitude * u)
+    return unit_normalize(uniform_texture(grid) + amplitude * u)
 
 
 def mirror_z(values: np.ndarray) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 import csv
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from llgvm import PeriodicGrid, cli, selftest
+import llgvm
+from llgvm import PeriodicGrid, cli, coupler, selftest
 from llgvm.errors import BlowUpError
 from llgvm.magnetization import MagnetizationField
 from llgvm.maxwell import cfl_limit
@@ -152,9 +155,19 @@ class TestRun:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_runtime_blow_up_exit_code(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _ledger_lines(tmp_path, n_steps):
+        """The config of a small run without particles and the ledger lines of its finished run."""
         cfg = tmp_path / "ok.cfg"
-        cfg.write_text("grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 0\nrun.n_steps = 1\nrun.dt = 1e-4\n")
+        cfg.write_text(
+            f"grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 0\nrun.n_steps = {n_steps}\nrun.dt = 1e-4\n"
+        )
+        out = tmp_path / "full"
+        assert cli.main(["run", "--config", str(cfg), "--output", str(out)]) == cli.EXIT_OK
+        return cfg, (out / "ledger.csv").read_bytes().splitlines(keepends=True)
+
+    def test_runtime_blow_up_exit_code(self, tmp_path, monkeypatch):
+        cfg, full = self._ledger_lines(tmp_path, 1)
 
         def explode(*args, **kwargs):
             raise BlowUpError("synthetic blow-up")
@@ -162,6 +175,49 @@ class TestRun:
         monkeypatch.setattr("llgvm.runner.advance", explode)
         args = ["run", "--config", str(cfg), "--output", str(tmp_path / "out")]
         assert cli.main(args) == cli.EXIT_RUNTIME
+        # the header and the row of the initial state, as a finished run writes them
+        assert (tmp_path / "out" / "ledger.csv").read_bytes() == b"".join(full[:2])
+
+    def test_blow_up_after_a_step_keeps_its_ledger_rows(self, tmp_path, monkeypatch, capsys):
+        cfg, full = self._ledger_lines(tmp_path, 3)
+        calls, real_step = [], coupler.step
+
+        def step_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise BlowUpError("synthetic blow-up")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(coupler, "step", step_once)
+        args = ["run", "--config", str(cfg), "--output", str(tmp_path / "out")]
+        assert cli.main(args) == cli.EXIT_RUNTIME
+        assert "step 2 [llg]" in capsys.readouterr().err
+        assert (tmp_path / "out" / "ledger.csv").read_bytes() == b"".join(full[:3])
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        # numpy may hand work to a threaded BLAS or OpenMP pool; the outputs must not change
+        cfg = tmp_path / "threads.cfg"
+        cfg.write_text(
+            "grid.n = 12\ngrid.box = 8.0\nkinetic.n_particles = 500\nkinetic.f0.radius = 0.9\n"
+            "run.n_steps = 3\nrun.dt = 1e-4\nrun.snapshot_every = 1\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {
+                **os.environ,
+                "PYTHONPATH": str(Path(llgvm.__file__).parents[1]),
+                "OMP_NUM_THREADS": threads,
+                "OPENBLAS_NUM_THREADS": threads,
+                "MKL_NUM_THREADS": threads,
+            }
+            subprocess.run(
+                [sys.executable, "-m", "llgvm.cli", "run", "--config", str(cfg), "--output", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(outputs[0]) == 1 + 6 * 5  # ledger.csv, six snapshots at steps 0-3 and final
+        assert outputs[0] == outputs[1]
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +242,8 @@ class TestDiag:
         assert abs(float(fields["hopf_invariant"]) - 1.0) < 1e-2
         rows = read_ledger(csv_out)
         assert len(rows) == 48
+        # the report takes its Hopf value from the same helicity as the ledger
+        assert float(fields["hopf_invariant"]) == float(read_ledger(finished_run / "ledger.csv")[-1]["hopf"])
 
     def test_topology_report_when_the_potential_is_refused(self, tmp_path, capsys, grid32):
         # a 32^3 hopfion's b is not solenoidal to the curl inversion's bound

@@ -716,6 +716,20 @@ class TestMoments:
         oracle = mass * mean_speed * gauss_norm
         assert abs(lhs / oracle - 1.0) < 0.05
 
+    def test_report_computes_each_moment_once(self, grid16, monkeypatch):
+        p = sample_initial(UniformMaxwellian(0.3), 10, 1, grid16)
+        orders = []
+
+        def recording(p, order):
+            orders.append(order)
+            return total_moment(p, order)
+
+        monkeypatch.setattr(kinetic, "total_moment", recording)
+        report = moment_report(p, grid16, (0, 2), ((2, 1, 4),))
+        assert orders == [0, 2]
+        assert report.m2 == total_moment(p, 2)
+        assert report.moment_totals == {0.0: total_moment(p, 0), 2.0: total_moment(p, 2)}
+
     def test_moment_check_rejects_kprime_above_k(self, grid16):
         p = sample_initial(UniformMaxwellian(0.3), 10, 1, grid16)
         with pytest.raises(ContractViolation):

@@ -216,6 +216,14 @@ class TestTopologyReport:
         assert report.gauge_residual < 1e-10
         assert len(report.lines()) == grid32.n_cells[2] + 3
 
+    def test_hopf_value_is_the_ledger_one(self):
+        # the 48^3 hopfion of configs/hopfion.cfg
+        grid = PeriodicGrid.cubic(48, BOX)
+        mf = MagnetizationField(grid, hopfion(grid, 7.0), H, ALPHA)
+        report = topology_report(mf)
+        assert report.helicity == helicity(mf)
+        assert report.hopf_invariant == hopf_invariant(mf)
+
     def test_refused_potential_reads_nan_and_keeps_the_slices(self, grid32):
         # a 32^3 hopfion's b is not solenoidal to the inversion's 1e-6 bound
         mf = MagnetizationField(grid32, hopfion(grid32), H, ALPHA)
