@@ -18,10 +18,12 @@ the stencil of one slice of that order at a time, so it too works in
 chunk-sized memory.  Each node adds its terms (wgt * q) / h^3 one after
 another (np.add.at), particle by particle in canonical order and corner by
 corner within a particle, so results are independent of particle order, of
-the slice size and of thread count.  A simulation state stores its ensemble
-in that canonical order after every push (see canonical): the sort after the
-next push meets nearly sorted data, and the deposit, finding the ensemble
-sorted, skips its sort.
+the slice size and of thread count; the density of one row does not depend
+on the other rows, so deposit_charge, which deposits the charge alone, gives
+deposit's rho bit for bit.  A simulation state stores its ensemble in that
+canonical order from set-up on and after every push (see canonical): the
+sort after the next push meets nearly sorted data, and the deposit, finding
+the ensemble sorted, skips its sort.
 """
 
 from __future__ import annotations
@@ -363,6 +365,15 @@ def deposit(p: ParticleEnsemble, grid: PeriodicGrid) -> tuple[ScalarField, Vecto
     out = _deposit(p, grid, lambda v, w: (w, *(w * v)))
     out *= CHARGE
     return ScalarField(grid, out[0]), VectorField3(grid, out[1:])
+
+
+def deposit_charge(p: ParticleEnsemble, grid: PeriodicGrid) -> ScalarField:
+    """The charge density alone, bitwise deposit's rho: rows (w,), scaled by CHARGE."""
+    if p.count == 0:
+        return ScalarField.zeros(grid)
+    out = _deposit(p, grid, lambda v, w: (w,))
+    out *= CHARGE
+    return ScalarField(grid, out[0])
 
 
 def _check_moment_order(order: float) -> None:

@@ -14,7 +14,7 @@ from .config import RunConfig
 from .coupler import SimState, advance, make_initial_state
 from .errors import ConfigError, ContractViolation, DegenerateSliceError
 from .grid import PeriodicGrid, l2_norm
-from .kinetic import F0_KINDS, ParticleEnsemble, deposit, sample_initial
+from .kinetic import F0_KINDS, ParticleEnsemble, canonical, deposit_charge, sample_initial
 from .magnetization import LLCoefficients, dt_max
 from .maxwell import cfl_limit, div_b_norm, gauss_residual, init_compatible
 from .smoothing import Mollifier, mollify
@@ -56,13 +56,13 @@ def build_state(cfg: RunConfig) -> SimState:
     if n_particles > 0:
         kind = F0_KINDS[v["kinetic.f0.kind"]]
         spec = kind(**{f.name: v[f"kinetic.f0.{f.name}"] for f in fields(kind)})
-        particles = sample_initial(spec, n_particles, v["kinetic.seed"], grid)
+        particles = canonical(sample_initial(spec, n_particles, v["kinetic.seed"], grid))
     else:
         particles = ParticleEnsemble.empty()
     mollifier = Mollifier.build(grid, v["mollifier.epsilon"])
     # The Maxwell source is the smoothed current, so the compatible constraint
     # carries the smoothed charge: div(eps_r E0) = K_eps rho0.
-    rho0, _ = deposit(particles, grid)
+    rho0 = deposit_charge(particles, grid)
     rho0_s = mollify(rho0, mollifier)
     em = init_compatible(rho0_s, v["em.init_modes"], v["em.eps_r"], v["em.mu_r"])
     coeffs = LLCoefficients.from_alpha(v["llg.alpha"], v["llg.stabilizer_c"])
@@ -121,12 +121,19 @@ def ledger_row(state: SimState, diagnostics: bool = True) -> dict:
 
 
 def _write_snapshots(state: SimState, outdir: Path, tag: str) -> None:
-    write_snapshot(state.mf, outdir / f"m_{tag}.snap", "m", state.t)
-    write_snapshot(state.em.E, outdir / f"E_{tag}.snap", "E", state.t)
-    write_snapshot(state.em.B, outdir / f"B_{tag}.snap", "B", state.t)
-    write_snapshot(state.emergent.e, outdir / f"e_{tag}.snap", "e_emergent", state.t)
-    write_snapshot(state.emergent.b, outdir / f"b_{tag}.snap", "b_emergent", state.t)
-    write_snapshot(state.particles, outdir / f"particles_{tag}.snap", "particles", state.t)
+    for stem, name, obj in (
+        ("m", "m", state.mf),
+        ("E", "E", state.em.E),
+        ("B", "B", state.em.B),
+        ("e", "e_emergent", state.emergent.e),
+        ("b", "b_emergent", state.emergent.b),
+        ("particles", "particles", state.particles),
+    ):
+        path = outdir / f"{stem}_{tag}.snap"
+        try:
+            write_snapshot(obj, path, name, state.t)
+        except OSError as err:
+            raise ConfigError(f"cannot write {path}: {err}") from err
 
 
 def run_simulation(cfg: RunConfig, output_dir=None) -> SimState:
@@ -141,7 +148,12 @@ def run_simulation(cfg: RunConfig, output_dir=None) -> SimState:
     n_steps = cfg.values["run.n_steps"]
     every = cfg.values["run.snapshot_every"]
     diagnostics = cfg.values["run.topology_diagnostics"]
-    with open(outdir / "ledger.csv", "w", encoding="utf-8", newline="\n") as ledger:
+    ledger_path = outdir / "ledger.csv"
+    try:
+        ledger = open(ledger_path, "w", encoding="utf-8", newline="\n")
+    except OSError as err:
+        raise ConfigError(f"cannot write {ledger_path}: {err}") from err
+    with ledger:
         ledger.write(",".join(LEDGER_COLUMNS) + "\n")
         for n in range(n_steps + 1):  # n = 0 is the initial state
             if n:

@@ -12,7 +12,7 @@ from .config import parse_config_text
 from .emergent import compute_b
 from .kinetic import (
     UniformMaxwellian,
-    deposit,
+    deposit_charge,
     lorentz_push,
     moment_exponent,
     sample_initial,
@@ -132,7 +132,7 @@ def check_kinetic():
     mass0 = p.total_mass
     bfield = g.VectorField3.constant(grid, (0.0, 0.0, 1.3))
     drift, q = speed_drift(p, g.VectorField3.zeros(grid), bfield, 5e-3, 200)
-    rho, _ = deposit(q, grid)
+    rho = deposit_charge(q, grid)
     mass_dep = -rho.values.sum() * grid.cell_volume
     ell = moment_exponent(2, 1, 4)
     ok = (

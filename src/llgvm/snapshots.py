@@ -47,23 +47,31 @@ class Snapshot:
     payload: ScalarField | VectorField3 | MagnetizationField | ParticleEnsemble
 
 
-def _payload_bytes(obj) -> tuple[int, tuple, tuple, bytes]:
+def _payload(obj) -> tuple[int, tuple, tuple, tuple[np.ndarray, ...]]:
+    """Kind, dims, box and the payload as C-contiguous little-endian parts, written in turn."""
     if isinstance(obj, ParticleEnsemble):
-        rec = np.concatenate([obj.positions, obj.velocities, obj.weights[None, :]]).T
-        return KIND_ENSEMBLE, (obj.count, 0, 0), (0.0, 0.0, 0.0), rec.astype("<f8", copy=False).tobytes()
+        rec = np.empty((obj.count, 7), dtype="<f8")  # one record per particle
+        rec[:, 0:3] = obj.positions.T
+        rec[:, 3:6] = obj.velocities.T
+        rec[:, 6] = obj.weights
+        return KIND_ENSEMBLE, (obj.count, 0, 0), (0.0, 0.0, 0.0), (rec,)
     if isinstance(obj, MagnetizationField):
-        kind, values = KIND_MAGNETIZATION, np.concatenate([[obj.h_zeeman, obj.alpha], obj.m.ravel()])
+        kind, parts = KIND_MAGNETIZATION, (np.array([obj.h_zeeman, obj.alpha]), obj.m)
     elif isinstance(obj, VectorField3):
-        kind, values = KIND_VECTOR, obj.values
+        kind, parts = KIND_VECTOR, (obj.values,)
     elif isinstance(obj, ScalarField):
-        kind, values = KIND_SCALAR, obj.values
+        kind, parts = KIND_SCALAR, (obj.values,)
     else:
         raise ContractViolation(f"cannot snapshot object of type {type(obj).__name__}")
-    return kind, obj.grid.n_cells, obj.grid.box_length, values.astype("<f8", copy=False).tobytes()
+    parts = tuple(np.ascontiguousarray(part, dtype="<f8") for part in parts)
+    return kind, obj.grid.n_cells, obj.grid.box_length, parts
 
 
 def write_snapshot(obj, path, name: str = "", time: float = 0.0) -> None:
-    kind, dims, box, payload = _payload_bytes(obj)
+    kind, dims, box, parts = _payload(obj)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
     name_bytes = name.encode("utf-8")[:16].ljust(16, b"\0")
     header = _HEADER.pack(
         MAGIC,
@@ -73,12 +81,13 @@ def write_snapshot(obj, path, name: str = "", time: float = 0.0) -> None:
         float(time),
         *[int(d) for d in dims],
         *[float(b) for b in box],
-        len(payload) // 8,
-        zlib.crc32(payload) & 0xFFFFFFFF,
+        sum(part.size for part in parts),
+        crc & 0xFFFFFFFF,
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        for part in parts:
+            fh.write(part)
 
 
 def read_snapshot(path) -> Snapshot:

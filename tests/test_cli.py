@@ -133,6 +133,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert "cannot create output directory" in err and str(out) in err
 
+    @pytest.mark.parametrize("blocked", ["ledger.csv", "m_000000.snap"])
+    def test_output_file_that_cannot_be_opened_exits_2(self, tmp_path, capsys, blocked):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(
+            "grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 0\nrun.n_steps = 2\nrun.dt = 1e-4\n"
+            "run.snapshot_every = 1\n"
+        )
+        full = tmp_path / "full"
+        assert cli.main(["run", "--config", str(cfg), "--output", str(full)]) == cli.EXIT_OK
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert cli.main(["run", "--config", str(cfg), "--output", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot write" in err and str(out / blocked) in err
+        if blocked != "ledger.csv":  # the header and row 0 were streamed before the snapshot
+            rows = (full / "ledger.csv").read_bytes().splitlines(keepends=True)
+            assert (out / "ledger.csv").read_bytes() == b"".join(rows[:2])
+
     @pytest.mark.parametrize(
         "line",
         [

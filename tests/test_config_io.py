@@ -1,6 +1,7 @@
 """Configuration parsing and binary snapshot round trips."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -329,12 +330,62 @@ class TestSnapshots:
             (vec, snapshots.KIND_VECTOR, doubles(vec.values)),
             (mf, snapshots.KIND_MAGNETIZATION, struct.pack("<2d", mf.h_zeeman, mf.alpha) + doubles(mf.m)),
         ]
-        for obj, kind, payload in cases:
-            assert snapshots._payload_bytes(obj) == (kind, grid.n_cells, grid.box_length, payload)
         records = b"".join(
             struct.pack("<7d", *p.positions[:, i], *p.velocities[:, i], p.weights[i]) for i in range(5)
         )
-        assert snapshots._payload_bytes(p) == (snapshots.KIND_ENSEMBLE, (5, 0, 0), (0.0, 0.0, 0.0), records)
+        cases.append((p, snapshots.KIND_ENSEMBLE, records))
+        for obj, kind, payload in cases:
+            got_kind, dims, box, parts = snapshots._payload(obj)
+            if kind == snapshots.KIND_ENSEMBLE:
+                assert (got_kind, dims, box) == (kind, (5, 0, 0), (0.0, 0.0, 0.0))
+            else:
+                assert (got_kind, dims, box) == (kind, grid.n_cells, grid.box_length)
+            assert all(part.flags.c_contiguous and part.dtype == np.dtype("<f8") for part in parts)
+            assert b"".join(part.tobytes() for part in parts) == payload
+
+    @staticmethod
+    def _joined_layout(obj, name, time):
+        """The file as a writer that joins the payload into one bytes object lays it out."""
+        if isinstance(obj, ParticleEnsemble):
+            kind, dims, box = snapshots.KIND_ENSEMBLE, (obj.count, 0, 0), (0.0, 0.0, 0.0)
+            payload = np.concatenate([obj.positions, obj.velocities, obj.weights[None, :]]).T.tobytes()
+        else:
+            dims, box = obj.grid.n_cells, obj.grid.box_length
+            if isinstance(obj, MagnetizationField):
+                kind = snapshots.KIND_MAGNETIZATION
+                payload = np.concatenate([[obj.h_zeeman, obj.alpha], obj.m.ravel()]).tobytes()
+            else:
+                kind = snapshots.KIND_VECTOR if isinstance(obj, VectorField3) else snapshots.KIND_SCALAR
+                payload = obj.values.tobytes()
+        header = snapshots._HEADER.pack(
+            snapshots.MAGIC, 0, kind, name.encode().ljust(16, b"\0"), time, *dims, *box,
+            len(payload) // 8, zlib.crc32(payload),
+        )
+        return header + payload
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "magnetization", "ensemble", "empty-ensemble"])
+    def test_file_bytes_match_the_joined_layout(self, tmp_path, kind):
+        grid = PeriodicGrid((4, 6, 8), (4.0, 5.0, 6.0))
+        rng = np.random.default_rng(11)
+        vec = band_limited_vector(grid, 206)
+        obj = {
+            "scalar": lambda: vec.component(1),
+            "vector": lambda: vec,
+            "magnetization": lambda: MagnetizationField(grid, random_smooth_unit(grid, 8, 0.3, 2), 0.5, 0.1),
+            "ensemble": lambda: ParticleEnsemble(rng.random((3, 9)), rng.standard_normal((3, 9)), rng.random(9)),
+            "empty-ensemble": ParticleEnsemble.empty,
+        }[kind]()
+        path = tmp_path / f"{kind}.snap"
+        write_snapshot(obj, path, kind[:16], 1.25)
+        assert path.read_bytes() == self._joined_layout(obj, kind[:16], 1.25)
+        back = read_snapshot(path).payload
+        assert type(back) is type(obj)
+        names = {
+            ParticleEnsemble: ("positions", "velocities", "weights"),
+            MagnetizationField: ("m", "h_zeeman", "alpha"),
+        }.get(type(obj), ("values",))
+        for name in names:
+            assert np.asarray(getattr(back, name)).tobytes() == np.asarray(getattr(obj, name)).tobytes()
 
     def test_header_dims_not_a_grid(self, tmp_path):
         grid = PeriodicGrid((4, 16, 8), (BOX, BOX, BOX))

@@ -33,6 +33,7 @@ from llgvm.kinetic import (
     _wrap,
     analytic_m2,
     canonical,
+    deposit_charge,
     lp_norm_of_field,
     moment_exponent_exact,
     total_moment,
@@ -648,6 +649,16 @@ class TestDeposit:
         rho, j = deposit(ParticleEnsemble.empty(), grid16)
         assert np.abs(rho.values).max() == 0.0
         assert np.abs(j.values).max() == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2 * _CHUNK + 3])
+    def test_charge_alone_is_the_deposits_rho(self, grid16, n):
+        p = sample_initial(TwoStream(0.8, 0.3), n, 13, grid16)  # in sampling order
+        rho, _ = deposit(p, grid16)
+        assert np.array_equal(bits(deposit_charge(p, grid16).values), bits(rho.values))
+
+    def test_charge_of_an_empty_ensemble(self, grid16):
+        rho = deposit_charge(ParticleEnsemble.empty(), grid16)
+        assert rho.grid == grid16 and not np.signbit(rho.values).any() and not rho.values.any()
 
 
 class TestMoments:

@@ -15,7 +15,9 @@ compute_e reads both states' cached partials; a step with particles calls it,
 and the new state's spectrum and partials it takes are then compute_b's.  A
 particle-free step leaves e to its first reader, which rebuilds the previous
 state and so takes that state's spectrum and partials again.  The
-particles of a state are deposited once, and the ledger reuses that charge.
+particles of a state are deposited once, and the ledger reuses that charge:
+set-up deposits the charge alone (deposit_charge), the only density
+init_compatible needs, and each step deposits charge and current together.
 A step builds two CIC stencils per slice of kinetic._CHUNK particles, one
 for the gather at the half-step positions and one for the deposit at the new
 ones, so two for the 400 particles below, and an ensemble kept in canonical
@@ -192,23 +194,28 @@ def test_one_deposit_per_state(monkeypatch):
     deposit = kinetic.deposit
     deposited = []
 
-    def counted(p, grid):
-        deposited.append(p)
-        return deposit(p, grid)
+    def counting(name, original):
+        def counted(p, grid):
+            deposited.append((name, p))
+            return original(p, grid)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "llgvm" and getattr(module, "deposit", None) is deposit:
-            monkeypatch.setattr(module, "deposit", counted)
+        return counted
+
+    for name in ("deposit", "deposit_charge"):
+        original = getattr(kinetic, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "llgvm" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
     cfg = parse_config_text(COUPLED16)
     state = build_state(cfg)
     dt = validate_dt(cfg, state)
     ledger_row(state)
-    assert deposited == [state.particles]  # the charge init_compatible used
+    assert deposited == [("deposit_charge", state.particles)]  # the charge init_compatible used
     for _ in range(2):
         deposited.clear()
         state = coupler.advance(state, dt)
         row = ledger_row(state)
-        assert deposited == [state.particles]
+        assert deposited == [("deposit", state.particles)]
     rho_raw, _ = deposit(state.particles, state.mf.grid)
     rho = mollify(rho_raw, state.mollifier)
     assert row["gauss_residual"] == gauss_residual(state.em, rho) / l2_norm(rho)
