@@ -376,8 +376,8 @@ class TestSnapshots:
             "empty-ensemble": ParticleEnsemble.empty,
         }[kind]()
         path = tmp_path / f"{kind}.snap"
-        write_snapshot(obj, path, kind[:16], 1.25)
-        assert path.read_bytes() == self._joined_layout(obj, kind[:16], 1.25)
+        write_snapshot(obj, path, kind, 1.25)
+        assert path.read_bytes() == self._joined_layout(obj, kind, 1.25)
         back = read_snapshot(path).payload
         assert type(back) is type(obj)
         names = {

@@ -316,9 +316,11 @@ class TestBuildState:
             assert np.array_equal(p.positions[:, 0], [4.0, 4.0, 4.0])  # the box center
             assert state.ledger.kinetic == kinetic
 
-    def test_stores_the_sampled_ensemble_in_canonical_order(self):
+    def test_stores_the_sampled_ensemble_in_canonical_order_and_its_charge(self):
         cfg = parse_config_text("grid.n = 8\ngrid.box = 8.0\nkinetic.f0.kind = two_stream\nkinetic.n_particles = 300\n")
-        p = build_state(cfg).particles
+        state = build_state(cfg)
+        p = state.particles
+        assert state.rho.values.tobytes() == deposit(p, state.mf.grid)[0].values.tobytes()
         v = cfg.values
         spec = TwoStream(v["kinetic.f0.drift"], v["kinetic.f0.v_thermal"])
         sampled = sample_initial(spec, 300, v["kinetic.seed"], PeriodicGrid.cubic(8, 8.0))
