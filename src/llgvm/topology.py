@@ -4,11 +4,13 @@ The per-slice skyrmion number is the lattice Brouwer degree computed from
 signed spherical-triangle areas (two triangles per plaquette), which returns
 integers up to rounding and reports degenerate plaquettes explicitly.  The
 vector potential inverts the curl in the Coulomb gauge,
-a_hat(k) = i k x b_hat(k) / |k|^2, after removing the k = 0 mode of b; the
-helicity integral <a, b>, a Parseval sum of a_hat and b_hat over the half
-spectrum, divided by (4 pi)^2 is the Hopf invariant of a localized texture.
-The ledger's hopf column and topology_report (llgvm diag topology) both take
-it from helicity, so on the same state they agree bitwise.
+a_hat(k) = i k x b_hat(k) / |k|^2, after removing the k = 0 mode of b.  The
+helicity <a, b> (Whitehead's integral) divided by (4 pi)^2 is the Hopf
+invariant of a localized texture.  With b_hat = R + iI,
+Re(a_hat . conj b_hat) = 2 k . (R x I) / |k|^2, so the helicity is one real
+Parseval sum over the half spectrum of b and builds no potential.  The
+ledger's hopf column and topology_report (llgvm diag topology) both take it
+from helicity, so on the same state they agree bitwise.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def skyrmion_number(mf: MagnetizationField, z_index: int) -> float:
 
 
 def _potential_spectrum(b: VectorField3):
-    """Half spectra of the Coulomb-gauge potential a and of b, or None for b = 0.
+    """Half spectrum of b without its k = 0 mode, and the guarded 1 / |k|^2; None for b = 0.
 
     b must be solenoidal; its k = 0 mode has no potential and is dropped.
     """
@@ -85,23 +87,20 @@ def _potential_spectrum(b: VectorField3):
         )
     mean_mag = float(np.sqrt(np.sum(np.abs(spec[:, 0, 0, 0]) ** 2)) / g.n_nodes)
     if mean_mag > 0.0:
-        log.debug("removing k=0 mode of b with magnitude %.3e before curl inversion", mean_mag)
+        log.debug("removing k=0 mode of b with magnitude %.3e", mean_mag)
     spec[:, 0, 0, 0] = 0.0
     k2 = g.k_squared.copy()
     k2[0, 0, 0] = 1.0
-    inv_k2 = 1.0 / k2
-    a_spec = np.empty_like(spec)
-    for a, c in zip(a_spec, _curl_spectrum(g, spec)):
-        np.multiply(c, inv_k2, out=a)
-    return a_spec, spec
+    return spec, 1.0 / k2
 
 
 def vector_potential(b: VectorField3) -> VectorField3:
-    """Coulomb-gauge potential with curl a = b minus its k = 0 mode."""
+    """Coulomb-gauge potential a_hat = ik x b_hat / |k|^2, with curl a = b minus its k = 0 mode."""
     spectra = _potential_spectrum(b)
     if spectra is None:
         return VectorField3.zeros(b.grid)
-    return VectorField3(b.grid, np.stack([_ifft_real(a) for a in spectra[0]]))
+    spec, inv_k2 = spectra
+    return VectorField3(b.grid, np.stack([_ifft_real(c * inv_k2) for c in _curl_spectrum(b.grid, spec)]))
 
 
 def _check_localized(mf: MagnetizationField):
@@ -121,23 +120,18 @@ def helicity(mf: MagnetizationField, b: VectorField3 | None = None) -> float:
     """Emergent magnetic helicity <a, b> with b = curl a in the Coulomb gauge.
 
     b, when given, must be compute_b(mf), e.g. the emergent field a step
-    already holds.  The inner product is a Parseval sum over the half
-    spectrum, so it takes no inverse transform.
+    already holds.  The inner product is the real Parseval sum of
+    2 k . (R x I) / |k|^2 over b_hat = R + iI: no potential, no inverse transform.
     """
     b = compute_b(mf) if b is None else b
     spectra = _potential_spectrum(b)
     if spectra is None:
         return 0.0
     g = b.grid
-    a_spec, b_spec = spectra
-    # Re(a conj(b)) per mode: one product over the float64 views, written over
-    # a_spec, which only this sum reads, then re + im
-    products = a_spec.view(np.float64)
-    products *= b_spec.view(np.float64)
-    pairs = products[..., 0::2] + products[..., 1::2]
-    cross_power = pairs[0] + pairs[1]
-    cross_power += pairs[2]
-    return float(g.volume * np.sum(g.parseval_weight * cross_power) / g.n_nodes**2)
+    spec, inv_k2 = spectra
+    r_x_i = _cross(spec.real, spec.imag)
+    k_dot = sum(ik.imag * c for ik, c in zip(g._ik, r_x_i))  # Nyquist k is zero, as in the curl
+    return float(2.0 * g.volume * np.sum(g.parseval_weight * k_dot * inv_k2) / g.n_nodes**2)
 
 
 def hopf_invariant(mf: MagnetizationField, b: VectorField3 | None = None) -> float:

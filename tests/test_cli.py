@@ -264,7 +264,7 @@ class TestDiag:
         assert float(fields["hopf_invariant"]) == float(read_ledger(finished_run / "ledger.csv")[-1]["hopf"])
 
     def test_topology_report_when_the_potential_is_refused(self, tmp_path, capsys, grid32):
-        # a 32^3 hopfion's b is not solenoidal to the curl inversion's bound
+        # a 32^3 hopfion's b is not solenoidal to the helicity's 1e-6 bound
         snap = tmp_path / "m.snap"
         write_snapshot(MagnetizationField(grid32, hopfion(grid32), 0.5, 0.1), snap, "m")
         csv_out = tmp_path / "slices.csv"

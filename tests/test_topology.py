@@ -1,5 +1,7 @@
 """Lattice degree, curl inversion, helicity, and Hopf invariant."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from llgvm import (
     VectorField3,
     compute_b,
     curl,
+    dealias,
     div,
     grad,
     helicity,
@@ -20,13 +23,57 @@ from llgvm import (
     topology_report,
     vector_potential,
 )
+from llgvm import topology
+from llgvm.config import parse_config
 from llgvm.errors import ContractViolation, DegenerateSliceError
+from llgvm.grid import _curl_spectrum, _fft, _ifft_real
 from llgvm.magnetization import MagnetizationField
-from llgvm.textures import hopfion, mirror_z, skyrmion_tube, uniform_texture
+from llgvm.runner import build_state, ledger_row
+from llgvm.textures import hopfion, mirror_z, random_smooth_unit, skyrmion_tube, uniform_texture
 
 from conftest import BOX, band_limited_scalar, band_limited_vector, checkerboard, rel_l2
 
 H, ALPHA = 0.5, 0.1
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def potential_spectra(b):
+    """Half spectra of the Coulomb-gauge potential and of b: the curl inversion as a complex product."""
+    g = b.grid
+    spec = _fft(b.values)
+    spec[:, 0, 0, 0] = 0.0
+    k2 = g.k_squared.copy()
+    k2[0, 0, 0] = 1.0
+    inv_k2 = 1.0 / k2
+    a_spec = np.empty_like(spec)
+    for a, c in zip(a_spec, _curl_spectrum(g, spec)):
+        np.multiply(c, inv_k2, out=a)
+    return a_spec, spec
+
+
+def potential_form_helicity(b):
+    """<a, b> as the Parseval sum of Re(a_hat . conj b_hat) over the potential's spectrum."""
+    g = b.grid
+    a_spec, b_spec = potential_spectra(b)
+    products = a_spec.view(np.float64) * b_spec.view(np.float64)
+    cross_power = (products[..., 0::2] + products[..., 1::2]).sum(axis=0)
+    return float(g.volume * np.sum(g.parseval_weight * cross_power) / g.n_nodes**2)
+
+
+def identity_case(name):
+    """(texture, b): the 48^3 hopfion, a texture of near-zero helicity, or the curl of a random field."""
+    if name == "curl16":
+        grid = PeriodicGrid.cubic(16, BOX)
+        rng = np.random.default_rng(26)
+        b = curl(dealias(VectorField3(grid, rng.standard_normal((3, *grid.shape)))))
+        return MagnetizationField(grid, uniform_texture(grid), H, ALPHA), b
+    n, texture = {
+        "hopfion48": (48, lambda g: hopfion(g, 7.0)),
+        "random_smooth32": (32, lambda g: random_smooth_unit(g, 5, 0.05, 1)),
+    }[name]
+    grid = PeriodicGrid.cubic(n, BOX)
+    mf = MagnetizationField(grid, texture(grid), H, ALPHA)
+    return mf, compute_b(mf)
 
 
 class TestSkyrmionNumber:
@@ -203,6 +250,26 @@ class TestHelicity:
         mf = MagnetizationField(grid16, uniform_texture(grid16), H, ALPHA)
         with pytest.raises(ContractViolation):
             helicity(mf, grad(band_limited_scalar(grid16, 77)))
+
+    @pytest.mark.parametrize("case", ["hopfion48", "random_smooth32", "curl16"])
+    def test_real_sum_equals_the_potential_form(self, case):
+        # Re(a_hat . conj b_hat) = 2 k . (R x I) / |k|^2 with b_hat = R + iI; the
+        # rounding scale of both sums is ||a|| ||b||, not |helicity|, which is
+        # about 1e-17 of it on the random_smooth texture
+        mf, b = identity_case(case)
+        scale = l2_norm(vector_potential(b)) * l2_norm(b)
+        assert abs(helicity(mf, b) - potential_form_helicity(b)) <= 1e-15 * scale
+        assert np.array_equal(
+            vector_potential(b).values, np.stack([_ifft_real(a) for a in potential_spectra(b)[0]])
+        )
+
+    def test_ledger_hopf_builds_no_potential(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Hopf column inverted the curl")
+
+        monkeypatch.setattr(topology, "_curl_spectrum", refuse)
+        hopf = ledger_row(build_state(parse_config(CONFIGS / "hopfion.cfg")))["hopf"]
+        assert np.isfinite(hopf) and round(hopf) == 1
 
 
 class TestTopologyReport:
