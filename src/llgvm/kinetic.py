@@ -23,7 +23,10 @@ on the other rows, so deposit_charge, which deposits the charge alone, gives
 deposit's rho bit for bit.  A simulation state stores its ensemble in that
 canonical order from set-up on and after every push (see canonical): the
 sort after the next push meets nearly sorted data, and the deposit, finding
-the ensemble sorted, skips its sort.
+the ensemble sorted, skips its sort.  The sort kind follows the data:
+timsort, which merges the runs of nearly sorted x, after a push, and NumPy's
+faster default argsort for a fresh sample, which has no such runs.  Distinct
+x have one sorted order, so the kind never changes the result.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ CHARGE = -1.0
 VELOCITY_CUTOFF_SIGMAS = 6.0
 SPATIAL_CUTOFF_SIGMAS = 4.0
 _CHUNK = 1 << 13  # particles per slice of the push and the deposit; their stencils stay chunk-sized
+_PRESORTED = 0.75  # share of rising adjacent x pairs from which canonical sorts with timsort
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +141,21 @@ def analytic_m2(spec: F0Spec) -> float:
 
 
 def _truncated_normals(rng, n: int, cutoff: float) -> np.ndarray:
-    """(n, 3) standard normals rejected outside |x| <= cutoff (radial)."""
-    out = rng.standard_normal((n, 3))
+    """(n, 3) standard normals rejected outside |x| <= cutoff (radial).
+
+    |x|^2 is (x^2 + y^2) + z^2, the order np.sum takes along a row.  Only the
+    redrawn rows are tested again: the others passed and have not changed.
+    """
+    out = draws = rng.standard_normal((n, 3))
+    rows = None  # the rows of out that draws holds; None for all of them
     while True:
-        bad = np.flatnonzero(np.sum(out**2, axis=1) > cutoff**2)
+        sq = draws * draws
+        bad = np.flatnonzero((sq[:, 0] + sq[:, 1]) + sq[:, 2] > cutoff**2)
         if bad.size == 0:
             return out
-        out[bad] = rng.standard_normal((bad.size, 3))
+        rows = bad if rows is None else rows[bad]
+        draws = rng.standard_normal((rows.size, 3))
+        out[rows] = draws
 
 
 def sample_initial(spec: F0Spec, n_particles: int, seed: int, grid: PeriodicGrid) -> ParticleEnsemble:
@@ -319,12 +331,19 @@ def canonical(p: ParticleEnsemble) -> ParticleEnsemble:
     """p permuted into the canonical order of the deposit; p itself if it is in it.
 
     p is in that order already if its x strictly increases: the sort would
-    return the identity and meet no tie.
+    return the identity and meet no tie.  Otherwise x is sorted with timsort
+    (kind="stable") where at least _PRESORTED of its adjacent pairs rise, as
+    after a push, since its runs make that data cheap to merge, and with
+    NumPy's default (SIMD) argsort elsewhere, as for a fresh sample.  Distinct
+    keys have only one sorted order, so both give the same permutation; tied x
+    go to the full-key lexsort either way.
     """
     x = p.positions[0]
-    if np.all(x[1:] > x[:-1]):
+    rises = x[1:] > x[:-1]
+    rising = np.count_nonzero(rises)
+    if rising == rises.size:
         return p
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x, kind="stable" if rising >= _PRESORTED * rises.size else None)
     x = x[order]
     if np.any(x[1:] == x[:-1]):
         order = np.lexsort((p.weights, *p.velocities[::-1], *p.positions[::-1]))

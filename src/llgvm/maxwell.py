@@ -144,19 +144,22 @@ def init_compatible(
     A mode whose numbers are all multiples of the node counts is the grid's
     k = 0 mode, which has no transverse direction, and is a ConfigError.
     Any mean of rho0 is unsupported on the periodic box; it is logged and
-    removed.
+    removed.  A rho0 with no nonzero bit takes no transform.
     """
     grid = rho0.grid
-    spec = _fft(rho0.values)
-    mean = spec.flat[0] / grid.n_nodes
-    if abs(mean) > 0.0:
-        log.info("removing mean %.3e from initial charge density", abs(mean))
-    spec.flat[0] = 0.0
-    symbol = _seven_point_symbol(grid)
-    symbol_safe = symbol.copy()
-    symbol_safe.flat[0] = 1.0
-    spec *= 1.0 / (eps_r * symbol_safe)
-    phi = _ifft_real(spec)
+    if rho0.values.view(np.uint64).any():
+        spec = _fft(rho0.values)
+        mean = spec.flat[0] / grid.n_nodes
+        if abs(mean) > 0.0:
+            log.info("removing mean %.3e from initial charge density", abs(mean))
+        spec.flat[0] = 0.0
+        symbol = _seven_point_symbol(grid)
+        symbol_safe = symbol.copy()
+        symbol_safe.flat[0] = 1.0
+        spec *= 1.0 / (eps_r * symbol_safe)
+        phi = _ifft_real(spec)
+    else:  # no nonzero bit: phi is +0.0 and the gradient part of E0 all -0.0
+        phi = np.zeros(grid.shape)
     evals = np.stack(
         [-_fwd_diff(phi, a, grid.spacing[a]) for a in range(3)]
     )

@@ -61,9 +61,9 @@ def build_state(cfg: RunConfig) -> SimState:
         particles = ParticleEnsemble.empty()
     mollifier = Mollifier.build(grid, v["mollifier.epsilon"])
     # The Maxwell source is the smoothed current, so the compatible constraint
-    # carries the smoothed charge: div(eps_r E0) = K_eps rho0.
+    # carries the smoothed charge: div(eps_r E0) = K_eps rho0, zero without particles.
     rho0 = deposit_charge(particles, grid)
-    rho0_s = mollify(rho0, mollifier)
+    rho0_s = mollify(rho0, mollifier) if particles.count else rho0
     em = init_compatible(rho0_s, v["em.init_modes"], v["em.eps_r"], v["em.mu_r"])
     coeffs = LLCoefficients.from_alpha(v["llg.alpha"], v["llg.stabilizer_c"])
     return make_initial_state(mf, particles, em, mollifier, coeffs, rho0)

@@ -10,7 +10,8 @@ invariant of a localized texture.  With b_hat = R + iI,
 Re(a_hat . conj b_hat) = 2 k . (R x I) / |k|^2, so the helicity is one real
 Parseval sum over the half spectrum of b and builds no potential.  The
 ledger's hopf column and topology_report (llgvm diag topology) both take it
-from helicity, so on the same state they agree bitwise.
+from _helicity, so on the same state they agree bitwise; the report checks b
+once, for the helicity and for the potential whose gauge it reports.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ContractViolation, DegenerateSliceError
 from .grid import VectorField3, _cross, _curl_spectrum, _div_spectrum, _fft, _ifft_real, _spectral_power
-from .grid import div, l2_norm
+from .grid import PeriodicGrid, div, l2_norm
 from .magnetization import MagnetizationField
 from .emergent import compute_b
 
@@ -94,13 +95,17 @@ def _potential_spectrum(b: VectorField3):
     return spec, 1.0 / k2
 
 
+def _potential(g: PeriodicGrid, spectra) -> VectorField3:
+    """The Coulomb-gauge potential from _potential_spectrum's output."""
+    if spectra is None:
+        return VectorField3.zeros(g)
+    spec, inv_k2 = spectra
+    return VectorField3(g, np.stack([_ifft_real(c * inv_k2) for c in _curl_spectrum(g, spec)]))
+
+
 def vector_potential(b: VectorField3) -> VectorField3:
     """Coulomb-gauge potential a_hat = ik x b_hat / |k|^2, with curl a = b minus its k = 0 mode."""
-    spectra = _potential_spectrum(b)
-    if spectra is None:
-        return VectorField3.zeros(b.grid)
-    spec, inv_k2 = spectra
-    return VectorField3(b.grid, np.stack([_ifft_real(c * inv_k2) for c in _curl_spectrum(b.grid, spec)]))
+    return _potential(b.grid, _potential_spectrum(b))
 
 
 def _check_localized(mf: MagnetizationField):
@@ -116,6 +121,16 @@ def _check_localized(mf: MagnetizationField):
         )
 
 
+def _helicity(g: PeriodicGrid, spectra) -> float:
+    """The helicity from _potential_spectrum's output."""
+    if spectra is None:
+        return 0.0
+    spec, inv_k2 = spectra
+    r_x_i = _cross(spec.real, spec.imag)
+    k_dot = sum(ik.imag * c for ik, c in zip(g._ik, r_x_i))  # Nyquist k is zero, as in the curl
+    return float(2.0 * g.volume * np.sum(g.parseval_weight * k_dot * inv_k2) / g.n_nodes**2)
+
+
 def helicity(mf: MagnetizationField, b: VectorField3 | None = None) -> float:
     """Emergent magnetic helicity <a, b> with b = curl a in the Coulomb gauge.
 
@@ -124,14 +139,7 @@ def helicity(mf: MagnetizationField, b: VectorField3 | None = None) -> float:
     2 k . (R x I) / |k|^2 over b_hat = R + iI: no potential, no inverse transform.
     """
     b = compute_b(mf) if b is None else b
-    spectra = _potential_spectrum(b)
-    if spectra is None:
-        return 0.0
-    g = b.grid
-    spec, inv_k2 = spectra
-    r_x_i = _cross(spec.real, spec.imag)
-    k_dot = sum(ik.imag * c for ik, c in zip(g._ik, r_x_i))  # Nyquist k is zero, as in the curl
-    return float(2.0 * g.volume * np.sum(g.parseval_weight * k_dot * inv_k2) / g.n_nodes**2)
+    return _helicity(b.grid, _potential_spectrum(b))
 
 
 def hopf_invariant(mf: MagnetizationField, b: VectorField3 | None = None) -> float:
@@ -168,7 +176,8 @@ def topology_report(mf: MagnetizationField) -> TopologyReport:
             slices.append((z, float("nan")))
     b = compute_b(mf)
     try:
-        hel, gauge = helicity(mf, b), l2_norm(div(vector_potential(b)))
+        spectra = _potential_spectrum(b)  # checked once for both
+        hel, gauge = _helicity(b.grid, spectra), l2_norm(div(_potential(b.grid, spectra)))
     except ContractViolation:
         hel = gauge = float("nan")
     return TopologyReport(

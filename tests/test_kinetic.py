@@ -136,6 +136,30 @@ class TestSampling:
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
 
+    @pytest.mark.parametrize("cutoff", [kinetic.VELOCITY_CUTOFF_SIGMAS, 1.0], ids=["default", "redraws"])
+    @pytest.mark.parametrize("spec", [BumpMaxwellian(CENTER, 1.0, 0.3), TwoStream(0.8, 0.3)], ids=["bump", "two_stream"])
+    def test_rejection_matches_the_full_retest(self, monkeypatch, grid16, spec, cutoff):
+        redrawn = []
+
+        def full_retest(rng, n, cut):
+            """The rejection loop as first written: np.sum over every row after each redraw."""
+            out = rng.standard_normal((n, 3))
+            while True:
+                bad = np.flatnonzero(np.sum(out**2, axis=1) > cut**2)
+                if bad.size == 0:
+                    return out
+                redrawn.append(bad.size)
+                out[bad] = rng.standard_normal((bad.size, 3))
+
+        monkeypatch.setattr(kinetic, "VELOCITY_CUTOFF_SIGMAS", cutoff)
+        got = sample_initial(spec, 3000, 8, grid16)
+        monkeypatch.setattr(kinetic, "_truncated_normals", full_retest)
+        want = sample_initial(spec, 3000, 8, grid16)
+        for name in ("positions", "velocities", "weights"):
+            assert np.array_equal(bits(getattr(got, name)), bits(getattr(want, name)))
+        if cutoff == 1.0:
+            assert len(redrawn) > 1  # rows redrawn more than once
+
     def test_bump_must_fit_in_box(self, grid16):
         with pytest.raises(ConfigError):
             sample_initial(BumpMaxwellian(CENTER, 3.0, 0.3), 100, 0, grid16)
@@ -551,6 +575,32 @@ class TestDeposit:
             rho_q, j_q = deposit(ParticleEnsemble(pos[perm].T, vel[perm].T, w[perm]), grid16)
             assert np.array_equal(rho_p.values, rho_q.values)
             assert np.array_equal(j_p.values, j_q.values)
+
+    @pytest.mark.parametrize("case", ["fresh", "pushed", "tied"])
+    def test_both_sort_kinds_give_one_canonical_ensemble(self, monkeypatch, grid16, case):
+        p = sample_initial(TwoStream(0.8, 0.3), 2 * _CHUNK + 3, 17, grid16)
+        if case == "pushed":
+            zero = VectorField3.zeros(grid16)
+            p = lorentz_push(canonical(p), zero, zero, 1e-4)
+        if case == "tied":  # x on a coarse lattice, so the full key has to order the ties
+            p = ParticleEnsemble(np.vstack([np.floor(p.positions[:1]), p.positions[1:]]), p.velocities, p.weights)
+        x = p.positions[0]
+        assert (np.mean(x[1:] > x[:-1]) >= kinetic._PRESORTED) == (case == "pushed")
+        argsort, lexsort = np.argsort, np.lexsort
+        kinds, lexsorts = [], []
+        monkeypatch.setattr(np, "argsort", lambda a, kind=None: kinds.append(kind) or argsort(a, kind=kind))
+        monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(len(keys)) or lexsort(keys))
+        ensembles = []
+        for presorted in (0.0, 2.0):  # timsort at any share of rising pairs, then at none
+            monkeypatch.setattr(kinetic, "_PRESORTED", presorted)
+            ensembles.append(canonical(p))
+        assert kinds == ["stable", None]
+        assert lexsorts == ([7, 7] if case == "tied" else [])
+        q = ensembles[0]
+        for name in ("positions", "velocities", "weights"):
+            assert np.array_equal(getattr(q, name), getattr(ensembles[1], name))
+        keys = (q.weights, *q.velocities[::-1], *q.positions[::-1])
+        assert np.array_equal(lexsort(keys), np.arange(q.count))
 
     def test_positions_need_no_wrap(self, grid16):
         # the stencil wraps node indices, so shifting positions by whole box

@@ -290,6 +290,17 @@ class TestTopologyReport:
         report = topology_report(mf)
         assert report.helicity == helicity(mf)
         assert report.hopf_invariant == hopf_invariant(mf)
+        assert report.gauge_residual == l2_norm(div(vector_potential(compute_b(mf))))
+
+    def test_checks_b_once(self, monkeypatch, grid32):
+        # the helicity and the gauge residual share one checked spectrum of b
+        calls = []
+        for name in ("_fft", "_div_spectrum"):
+            original = getattr(topology, name)
+            monkeypatch.setattr(topology, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a))
+        report = topology_report(MagnetizationField(grid32, skyrmion_tube(grid32), H, ALPHA))
+        assert np.isfinite([report.helicity, report.gauge_residual]).all()
+        assert calls == ["_fft", "_div_spectrum"]
 
     def test_refused_potential_reads_nan_and_keeps_the_slices(self, grid32):
         # a 32^3 hopfion's b is not solenoidal to the inversion's 1e-6 bound

@@ -17,7 +17,10 @@ particle-free step leaves e to its first reader, which rebuilds the previous
 state and so takes that state's spectrum and partials again.  The
 particles of a state are deposited once, and the ledger reuses that charge:
 set-up deposits the charge alone (deposit_charge), the only density
-init_compatible needs, and each step deposits charge and current together.
+init_compatible needs, and each step deposits charge and current together;
+a particle-free set-up smooths and transforms no zero charge.  Set-up sorts
+the fresh sample once with NumPy's default argsort, and each step sorts the
+pushed ensemble once with timsort (kind="stable").
 A step builds two CIC stencils per slice of kinetic._CHUNK particles, one
 for the gather at the half-step positions and one for the deposit at the new
 ones, so two for the 400 particles below, and an ensemble kept in canonical
@@ -27,6 +30,7 @@ or a deposit to the step must update them deliberately.
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,13 @@ HOPFION48 = (
     "kinetic.n_particles = 0\nrun.dt = 1e-5\n"
 )
 COUPLED16 = "grid.n = 16\nkinetic.n_particles = 400\nrun.dt = 5e-4\n"
+COUPLED32 = (Path(__file__).resolve().parents[1] / "configs" / "coupled.cfg").read_text()
+# the particles of perfbench's beam24 workload
+BEAM24 = (
+    "grid.n = 24\ngrid.box = 16.0\nllg.initial = random_smooth\nllg.init_amplitude = 0.05\n"
+    "kinetic.n_particles = 100000\nkinetic.f0.kind = two_stream\nkinetic.f0.drift = 0.8\n"
+    "kinetic.f0.v_thermal = 0.3\nrun.dt = 5e-5\n"
+)
 
 
 def _logged_transforms(mp):
@@ -160,6 +171,34 @@ def test_first_read_of_a_particle_free_e(monkeypatch):
     log.clear()
     state.emergent.e
     assert log == []
+
+
+def test_particle_free_set_up_transforms_no_zero_charge(monkeypatch):
+    log = _logged_transforms(monkeypatch)
+    build_state(parse_config_text(HOPFION16))
+    assert log and not any(zero for _, zero, _ in log)
+
+
+# coupled.cfg and beam24 push their ensembles out of order at every step; the
+# 400 particles of coupled16 can stay in order, and then take no sort
+@pytest.mark.parametrize("cfg_text", [COUPLED32, BEAM24], ids=["coupled32", "beam24"])
+def test_sort_kind_per_state(monkeypatch, cfg_text):
+    argsort = np.argsort
+    kinds = []
+
+    def recorded(a, kind=None):
+        kinds.append(kind)
+        return argsort(a, kind=kind)
+
+    monkeypatch.setattr(np, "argsort", recorded)
+    cfg = parse_config_text(cfg_text)
+    state = build_state(cfg)
+    assert kinds == [None]  # the fresh sample, with NumPy's default kind
+    dt = validate_dt(cfg, state)
+    for _ in range(2):
+        kinds.clear()
+        state = coupler.advance(state, dt)
+        assert kinds == ["stable"]
 
 
 def test_audit_reuses_the_gathered_fields(monkeypatch):
