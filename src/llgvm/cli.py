@@ -44,9 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="advance the coupled system and emit ledger + snapshots")
     p_run.add_argument("--config", required=True, help="path to a key = value config file")
     p_run.add_argument("--output", default=None, help="output directory (overrides run.output_dir)")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="checked to be >= 1, otherwise no effect: every run is"
-                            " single-threaded NumPy, so results are identical for every value")
     p_run.add_argument("--seed", type=int, default=None, help="override run.seed and kinetic.seed")
 
     p_diag = sub.add_parser("diag", help="diagnostics on snapshot files")
@@ -64,15 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        cfg.values["run.seed"] = args.seed
-        cfg.values["kinetic.seed"] = args.seed
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
-    run_simulation(cfg, output_dir=args.output)
+    run_simulation(parse_config(args.config, seed=args.seed), output_dir=args.output)
     return EXIT_OK
 
 

@@ -4,7 +4,9 @@ Sections are spelled with dotted keys (grid.n = 32).  Each key has one
 SCHEMA row: its converter, its default and its range rule.  Parsing is
 total: every malformed entry is collected and reported together, range
 errors in SCHEMA order; unknown keys are rejected so typos cannot silently
-fall back to defaults.  Two rules live outside the rows: the llg.h <= 1/4
+fall back to defaults.  A given seed (llgvm run --seed) sets run.seed and
+kinetic.seed before the range rules run, so a negative one is reported with
+the file's errors.  Two rules live outside the rows: the llg.h <= 1/4
 warning, and c >= lambda for llg.stabilizer_c, which LLCoefficients owns.
 A parsed config holds its derived defaults resolved: kinetic.seed,
 llg.stabilizer_c, mollifier.epsilon, kinetic.f0.center and
@@ -147,7 +149,7 @@ class RunConfig:
         return self._per_axis("l", "box")
 
 
-def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
+def parse_config_text(text: str, source: str = "<string>", seed: int | None = None) -> RunConfig:
     errors: list[str] = []
     warnings: list[str] = []
     values = {key: default for key, (_, default, _) in SCHEMA.items()}
@@ -182,6 +184,8 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
             )
         else:
             values["run.dt"] = values["llg.dt"]
+    if seed is not None:
+        values["run.seed"] = values["kinetic.seed"] = seed
     for key, (_, _, rule) in SCHEMA.items():
         if rule is not None and values[key] is not None and not rule[0](values[key]):
             errors.append(rule[1].format(key=key, value=values[key]))
@@ -215,13 +219,13 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
     return cfg
 
 
-def parse_config(path) -> RunConfig:
+def parse_config(path, seed: int | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read configuration file {path}: {err}") from err
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(text, source=str(path), seed=seed)
 
 
 def default_config() -> RunConfig:

@@ -242,13 +242,8 @@ def dt_max(grid: PeriodicGrid, alpha: float, h_zeeman: float, coeffs: LLCoeffici
     return 2.0 * alpha / denom
 
 
-def step(
-    mf: MagnetizationField,
-    j: VectorField3 | None,
-    dt: float,
-    coeffs: LLCoefficients,
-) -> MagnetizationField:
-    """One IMEX step followed by exact node-wise renormalization."""
+def check_dt(mf: MagnetizationField, dt: float, coeffs: LLCoefficients) -> None:
+    """The IMEX step's rule: dt positive and finite, and dt <= dt_max (else TimeStepError)."""
     if not 0.0 < dt < np.inf:
         raise ContractViolation("dt must be positive and finite")
     stable = dt_max(mf.grid, mf.alpha, mf.h_zeeman, coeffs)
@@ -257,6 +252,16 @@ def step(
             f"dt = {dt:.3e} exceeds the stable bound {stable:.3e} "
             f"(c = {coeffs.stabilizer_c:.4g}); reduce run.dt or raise llg.stabilizer_c"
         )
+
+
+def step(
+    mf: MagnetizationField,
+    j: VectorField3 | None,
+    dt: float,
+    coeffs: LLCoefficients,
+) -> MagnetizationField:
+    """One IMEX step followed by exact node-wise renormalization."""
+    check_dt(mf, dt, coeffs)
     g = mf.grid
     alpha2 = 1.0 + mf.alpha**2
     k2 = g.k_squared

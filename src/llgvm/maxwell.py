@@ -154,9 +154,8 @@ def init_compatible(
             log.info("removing mean %.3e from initial charge density", abs(mean))
         spec.flat[0] = 0.0
         symbol = _seven_point_symbol(grid)
-        symbol_safe = symbol.copy()
-        symbol_safe.flat[0] = 1.0
-        spec *= 1.0 / (eps_r * symbol_safe)
+        symbol.flat[0] = 1.0
+        spec *= 1.0 / (eps_r * symbol)
         phi = _ifft_real(spec)
     else:  # no nonzero bit: phi is +0.0 and the gradient part of E0 all -0.0
         phi = np.zeros(grid.shape)
@@ -189,17 +188,22 @@ def init_compatible(
     return EMFieldPair(VectorField3(grid, evals), VectorField3(grid, bvals), eps_r, mu_r)
 
 
+def check_dt(em: EMFieldPair, dt: float) -> None:
+    """The leapfrog's rule: dt positive and finite, and dt < cfl_limit (else TimeStepError)."""
+    if not 0.0 < dt < np.inf:
+        raise ContractViolation("dt must be positive and finite")
+    limit = cfl_limit(em.grid, em.eps_r, em.mu_r)
+    if dt >= limit:
+        raise TimeStepError(f"dt = {dt:.3e} violates the staggered CFL bound {limit:.3e}")
+
+
 def step_fields(em: EMFieldPair, j_mollified: VectorField3 | None, dt: float) -> EMFieldPair:
     """One leapfrog step: B to the next half level, then E with the current source.
 
     The stored B is interpreted at t - dt/2.  The source is the mollified
     node-collocated current; it is averaged onto edges here.
     """
-    if not 0.0 < dt < np.inf:
-        raise ContractViolation("dt must be positive and finite")
-    limit = cfl_limit(em.grid, em.eps_r, em.mu_r)
-    if dt >= limit:
-        raise TimeStepError(f"dt = {dt:.3e} violates the staggered CFL bound {limit:.3e}")
+    check_dt(em, dt)
     if j_mollified is None and em.is_zero:
         return em  # the full step maps bitwise zero fields to themselves
     grid = em.grid

@@ -10,13 +10,13 @@ import logging
 from dataclasses import fields
 from pathlib import Path
 
+from . import magnetization, maxwell
 from .config import RunConfig
 from .coupler import SimState, advance, make_initial_state
-from .errors import ConfigError, ContractViolation, DegenerateSliceError
+from .errors import ConfigError, ContractViolation, DegenerateSliceError, TimeStepError
 from .grid import PeriodicGrid, l2_norm
 from .kinetic import F0_KINDS, ParticleEnsemble, canonical, deposit_charge, sample_initial
-from .magnetization import LLCoefficients, dt_max
-from .maxwell import cfl_limit, div_b_norm, gauss_residual, init_compatible
+from .maxwell import div_b_norm, gauss_residual, init_compatible
 from .smoothing import Mollifier, mollify
 from .snapshots import write_snapshot
 from .textures import make_texture
@@ -65,21 +65,18 @@ def build_state(cfg: RunConfig) -> SimState:
     rho0 = deposit_charge(particles, grid)
     rho0_s = mollify(rho0, mollifier) if particles.count else rho0
     em = init_compatible(rho0_s, v["em.init_modes"], v["em.eps_r"], v["em.mu_r"])
-    coeffs = LLCoefficients.from_alpha(v["llg.alpha"], v["llg.stabilizer_c"])
+    coeffs = magnetization.LLCoefficients.from_alpha(v["llg.alpha"], v["llg.stabilizer_c"])
     return make_initial_state(mf, particles, em, mollifier, coeffs, rho0)
 
 
 def validate_dt(cfg: RunConfig, state: SimState) -> float:
-    """Check the configured step against both stability bounds up front, as the solvers do."""
+    """Check the configured step with the solvers' own checks before step 1."""
     dt = cfg.values["run.dt"]
-    grid = state.mf.grid
-    llg_bound = dt_max(grid, state.mf.alpha, state.mf.h_zeeman, state.ll_coeffs)
-    em_bound = cfl_limit(grid, state.em.eps_r, state.em.mu_r)
-    if dt > llg_bound or dt >= em_bound:
-        raise ConfigError(
-            f"run.dt = {dt:.4g} is not stable: it must not exceed the magnetization"
-            f" limit {llg_bound:.4g} and must stay below the staggered CFL bound {em_bound:.4g}"
-        )
+    try:
+        magnetization.check_dt(state.mf, dt, state.ll_coeffs)
+        maxwell.check_dt(state.em, dt)
+    except TimeStepError as err:
+        raise ConfigError(f"run.dt = {dt:.4g} is not stable: {err}") from err
     return dt
 
 

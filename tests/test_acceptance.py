@@ -3,13 +3,18 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import llgvm
 from llgvm import (
     BumpMaxwellian,
     EMFieldPair,
@@ -322,18 +327,24 @@ def test_criterion_8_moment_machinery():
 
 def test_criterion_9_determinism_and_io(tmp_path):
     with criterion(9, "bitwise determinism across threads, exact IO, selftest"):
-        from pathlib import Path
-
         config = Path(__file__).resolve().parent.parent / "configs" / "skyrmion.cfg"
-        ledgers = []
-        for threads in ("1", "8"):
+        outputs = []
+        for threads in ("1", "8"):  # numpy's BLAS and OpenMP pools, in a fresh process each
             out = tmp_path / f"threads{threads}"
-            code = cli_main(
-                ["run", "--config", str(config), "--output", str(out), "--threads", threads]
+            env = {
+                **os.environ,
+                "PYTHONPATH": str(Path(llgvm.__file__).parents[1]),
+                "OMP_NUM_THREADS": threads,
+                "OPENBLAS_NUM_THREADS": threads,
+                "MKL_NUM_THREADS": threads,
+            }
+            subprocess.run(
+                [sys.executable, "-m", "llgvm.cli", "run", "--config", str(config), "--output", str(out)],
+                env=env, check=True, timeout=600,
             )
-            assert code == 0
-            ledgers.append((out / "ledger.csv").read_bytes())
-        assert ledgers[0] == ledgers[1]
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(outputs[0]) == 1 + 6 * 4  # ledger.csv, six snapshots at steps 0, 25, 50 and final
+        assert outputs[0] == outputs[1]
 
         from llgvm import read_snapshot, write_snapshot
 

@@ -71,23 +71,37 @@ class TestRun:
         assert "configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line, extra",
-        [("", ["--seed", "-3"]), ("run.seed = -1", []), ("kinetic.seed = -1", [])],
-        ids=["--seed", "run.seed", "kinetic.seed"],
+        "line, extra, named",
+        [
+            ("", ["--seed", "-3"], ["seed"]),
+            ("run.seed = -1", [], ["seed"]),
+            ("kinetic.seed = -1", [], ["seed"]),
+            # a file error and --seed's error come in one report
+            (
+                "llg.alpha = -1",
+                ["--seed", "-3"],
+                ["llg.alpha must be positive", "run.seed = -3", "kinetic.seed = -3"],
+            ),
+        ],
+        ids=["--seed", "run.seed", "kinetic.seed", "--seed-and-file-error"],
     )
-    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, line, extra):
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, line, extra, named):
         cfg = tmp_path / "seed.cfg"
         cfg.write_text(f"grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 10\nrun.n_steps = 1\n{line}\n")
         code = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out"), *extra])
         assert code == cli.EXIT_CONFIG
-        assert "seed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("configuration error") == 1
+        assert all(name in err for name in named)
 
-    def test_threads_below_one_is_a_config_error(self, tmp_path, capsys):
+    def test_threads_is_not_an_option(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("grid.n = 8\ngrid.box = 8.0\nkinetic.n_particles = 0\nrun.n_steps = 1\n")
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--output", str(out), "--threads", "0"]) == cli.EXIT_CONFIG
-        assert "--threads must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--config", str(cfg), "--output", str(out), "--threads", "2"])
+        assert exit_info.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unstable_dt_is_a_config_error(self, tmp_path):

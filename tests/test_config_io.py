@@ -168,6 +168,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{key} = -1: seeds must be >= 0"):
             parse_config_text(f"grid.n = 8\n{key} = -1\n")
 
+    def test_given_seed_sets_both_seeds_before_the_range_rules(self, tmp_path):
+        text = "grid.n = 8\nrun.seed = 5\nkinetic.seed = 6\n"
+        cfg = parse_config_text(text, seed=7)
+        assert (cfg["run.seed"], cfg["kinetic.seed"]) == (7, 7)
+        path = tmp_path / "seed.cfg"
+        path.write_text(text)
+        assert parse_config(path, seed=0).values == parse_config_text(text, seed=0).values
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("grid.n = 3\n", seed=-2)
+        assert str(err.value).endswith(
+            "grid.n = 3: node counts must be even and >= 4\n"
+            "  kinetic.seed = -2: seeds must be >= 0\n  run.seed = -2: seeds must be >= 0"
+        )
+
     @pytest.mark.parametrize(
         "line, message",
         [

@@ -333,8 +333,9 @@ class TestBuildState:
 class TestValidateDt:
     @pytest.mark.parametrize("bound", ["magnetization", "cfl"])
     def test_agrees_with_the_solver_at_its_bound(self, bound):
-        # validate_dt restates each solver's comparison; the three floats
-        # around each bound pin the two homes of the rule to each other.
+        # validate_dt runs each solver's own check_dt; at the three floats
+        # around each bound it must refuse exactly where the solver does and
+        # carry the solver's TimeStepError text in its ConfigError.
         # stabilizer_c = 6 makes the magnetization limit infinite, so only
         # the CFL bound can refuse in the second case.
         extra = "" if bound == "magnetization" else "llg.stabilizer_c = 6.0\n"
@@ -343,30 +344,33 @@ class TestValidateDt:
         grid = state.mf.grid
         if bound == "magnetization":
             b = dt_max(grid, state.mf.alpha, state.mf.h_zeeman, state.ll_coeffs)
-            expected = [True, True, False]  # dt <= b
+            expected = [None, None, "exceeds the stable bound"]  # dt <= b
 
             def solver(dt):
                 step(state.mf, None, dt, state.ll_coeffs)
         else:
             b = cfl_limit(grid, state.em.eps_r, state.em.mu_r)
-            expected = [True, False, False]  # dt < b
+            refused = "violates the staggered CFL bound"
+            expected = [None, refused, refused]  # dt < b
 
             def solver(dt):
                 step_fields(state.em, None, dt)
 
-        def accepts(call, refusal):
+        def refusal(call, error):
             try:
                 call()
-            except refusal:
-                return False
-            return True
+            except error as err:
+                return str(err)
+            return None
 
-        runner, solo = [], []
-        for dt in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)):
+        for dt, phrase in zip((np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)), expected):
             cfg.values["run.dt"] = float(dt)
-            runner.append(accepts(lambda: validate_dt(cfg, state), ConfigError))
-            solo.append(accepts(lambda: solver(float(dt)), TimeStepError))
-        assert runner == solo == expected
+            runner = refusal(lambda: validate_dt(cfg, state), ConfigError)
+            solo = refusal(lambda: solver(float(dt)), TimeStepError)
+            if phrase is None:
+                assert runner is solo is None
+            else:
+                assert phrase in solo and solo in runner
 
 
 class TestZeroMaxwellSector:

@@ -2,10 +2,11 @@
 
 Runs the three ``configs/*.cfg`` and the three ``perfbench/workloads/*.cfg``
 of a checkout to their full ``run.n_steps`` with ``run.snapshot_every = 1``
-and both seeds set to ``--seed`` (as ``llgvm run --seed`` sets them), using
-that checkout's llgvm source: by default the checkout this script sits in,
-or the one named by ``--tree``.  Each output file gives one line
-``<config>/<file> <sha256>``, in config order and then file order:
+and both seeds set to ``--seed`` by ``parse_config(path, seed=...)``, as
+``llgvm run --seed`` sets them, using that checkout's llgvm source: by
+default the checkout this script sits in, or the one named by ``--tree``.
+Each output file gives one line ``<config>/<file> <sha256>``, in config
+order and then file order:
 
     python3 tools/output_digests.py --seed 901
 
@@ -19,6 +20,10 @@ change is taken against DIR's value, and reads inf where that value is 0 or
 not finite:
 
     python3 tools/output_digests.py --seed 901 --against ../parent
+
+Both trees' ``parse_config`` must take that ``seed`` argument.  To compare
+against an older checkout, run that checkout's copy of this script with
+``--tree`` set to this one.
 """
 
 from __future__ import annotations
@@ -50,8 +55,7 @@ def run_tree(tree: Path, seed: int, out: Path) -> None:
     from llgvm.runner import run_simulation
 
     for path in configs(tree):
-        cfg = parse_config(path)
-        cfg.values["run.seed"] = cfg.values["kinetic.seed"] = seed
+        cfg = parse_config(path, seed=seed)
         cfg.values["run.snapshot_every"] = 1
         run_simulation(cfg, output_dir=out / path.stem)
 
