@@ -22,7 +22,7 @@ without being computed (see maxwell).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -46,8 +46,7 @@ class EnergyLedger:
     coupling_residual: float
 
     def __post_init__(self):
-        vals = (self.kinetic, self.em_energy, self.micromagnetic, self.dissipation_cum)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(np.isfinite(v) for v in astuple(self)):
             raise LLGVMError("ledger contains non-finite entries")
         if self.kinetic < 0.0 or self.em_energy < 0.0:
             raise LLGVMError("kinetic and electromagnetic energies must be non-negative")

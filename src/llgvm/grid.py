@@ -19,17 +19,17 @@ and then one ``np.fft.irfft`` over z, bitwise equal to irfftn.
 writable array the caller owns, and a read-only one (a cached spectrum)
 raises ValueError untouched.
 
-The 2/3 rule keeps the box |n_i| <= N_i // 3 of mode numbers, so a dealiased
-pair (``dealias``, the LLG step's rate) transforms only the lines that box
-meets: ``_fft_dealiased`` runs the y pass on the kept kz planes and the x
-pass on the kept (ky, kz) lines before it multiplies by a symbol that is zero
-outside the box (the mask, or the mask over the LLG step's implicit
-denominator), and ``_ifft_dealiased`` skips the same zero lines before its
-full z pass.  Each line it transforms is bitwise the line of the full
-transform.  A complex spectrum is divided by a real array as a product with
-its reciprocal: numpy's complex / real is (re + im * 0) * (1 / d), so the
-product is bitwise equal on every nonzero part and may differ only in the
-sign of a zero part.  A real / real quotient stays a division.
+The 2/3 rule keeps the box |n_i| <= N_i // 3 of mode numbers (``dealias_cut``,
+its one home), so a dealiased pair (``dealias``, the LLG step's rate)
+transforms only the lines that box meets: ``_fft_dealiased`` runs the y pass on
+the kept kz planes and the x pass on the kept (ky, kz) lines before it
+multiplies by a symbol that is zero outside the box (the mask, or the mask over
+the LLG step's implicit denominator), and ``_ifft_dealiased`` skips the same
+zero lines before its full z pass.  Each line it transforms is bitwise the line
+of the full transform.  A complex spectrum is divided by a real array as a
+product with its reciprocal: numpy's complex / real is (re + im * 0) * (1 / d),
+so the product is bitwise equal on every nonzero part and may differ only in
+the sign of a zero part.  A real / real quotient stays a division.
 
 Real-space chains of node-wise arithmetic (the LLG right-hand side and
 renormalization, the emergent triple products, the |m| checks) run over the
@@ -150,9 +150,27 @@ class PeriodicGrid:
         return sum(_along(axis, k**2) for axis, k in enumerate(self.wavenumbers))
 
     @cached_property
+    def stiffness_symbol(self) -> np.ndarray:
+        """Read-only k^4 - k^2, the symbol of bih + lap and, plus h, of the energy."""
+        k2 = self.k_squared
+        return _read_only(k2 * k2 - k2)
+
+    @cached_property
+    def inverse_k_squared(self) -> np.ndarray:
+        """Read-only 1 / |k|^2 of the curl inversion, guarded to 1 at k = 0."""
+        k2 = self.k_squared.copy()
+        k2[0, 0, 0] = 1.0
+        return _read_only(1.0 / k2)
+
+    @property
+    def dealias_cut(self) -> tuple[int, int, int]:
+        """The 2/3 rule: the largest kept |mode number| per axis, N_i // 3."""
+        return tuple(n // 3 for n in self.n_cells)
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean 2/3-rule mask over the half spectrum (True = keep)."""
-        return self.box_mask([n // 3 for n in self.n_cells])
+        return self.box_mask(self.dealias_cut)
 
     def box_mask(self, cut) -> np.ndarray:
         """Modes whose mode number satisfies |n_i| <= cut[i] on every axis."""
@@ -169,11 +187,10 @@ class PeriodicGrid:
         w[0] = w[-1] = 1.0
         return _along(2, w)
 
-    def dealiased_k_max_squared(self) -> float:
-        """Largest |k|^2 surviving the 2/3 rule (corner mode)."""
-        return float(
-            sum((2.0 * np.pi * (n // 3) / l) ** 2 for n, l in zip(self.n_cells, self.box_length))
-        )
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _along(axis: int, vec: np.ndarray) -> np.ndarray:
@@ -285,9 +302,8 @@ def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
 def _dealiased_lines(grid: PeriodicGrid) -> tuple[slice, tuple[slice, slice]]:
     """The kz planes and the two ky blocks, in FFT order, that the 2/3 rule keeps."""
-    _, ny, nz = grid.n_cells
-    cy = ny // 3
-    return slice(0, nz // 3 + 1), (slice(0, cy + 1), slice(ny - cy, ny))
+    _, cy, cz = grid.dealias_cut  # cy >= 1, as every node count is >= 4
+    return slice(0, cz + 1), (slice(0, cy + 1), slice(-cy, None))
 
 
 def _fft_dealiased(grid: PeriodicGrid, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:

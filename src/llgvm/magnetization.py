@@ -42,7 +42,7 @@ import numpy as np
 from .errors import BlowUpError, ContractViolation, StateCorruption, TimeStepError
 from .grid import (
     PeriodicGrid, VectorField3, _cross, _fft, _fft_dealiased, _ifft_dealiased, _ifft_real,
-    _partials, _slabs, _spectral_power,
+    _partials, _read_only, _slabs, _spectral_power,
 )
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -154,11 +154,6 @@ class LLCoefficients:
         return cls(lam, 2.0 * lam if stabilizer_c is None else float(stabilizer_c))
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 def energy(mf: MagnetizationField) -> float:
     """Total interaction energy, evaluated as a Fourier-space quadrature.
 
@@ -170,8 +165,7 @@ def energy(mf: MagnetizationField) -> float:
     # unnormalized transform
     spec = mf.spectrum.copy()
     spec[2, 0, 0, 0] -= g.n_nodes
-    k2 = g.k_squared
-    return float(0.5 * g.volume * _spectral_power(g, spec, k2 * k2 - k2 + mf.h_zeeman))
+    return float(0.5 * g.volume * _spectral_power(g, spec, g.stiffness_symbol + mf.h_zeeman))
 
 
 def apply_a(m: np.ndarray, xi: np.ndarray, alpha: float) -> np.ndarray:
@@ -181,8 +175,7 @@ def apply_a(m: np.ndarray, xi: np.ndarray, alpha: float) -> np.ndarray:
 
 def _stiffness(mf: MagnetizationField) -> np.ndarray:
     """(bih + lap) m, one inverse transform of (k^4 - k^2) m_hat."""
-    k2 = mf.grid.k_squared
-    return _ifft_real((k2 * k2 - k2) * mf.spectrum)
+    return _ifft_real(mf.grid.stiffness_symbol * mf.spectrum)
 
 
 def effective_field(mf: MagnetizationField) -> VectorField3:
@@ -229,13 +222,13 @@ def ll_rhs(mf: MagnetizationField, j: VectorField3 | None = None):
 def dt_max(grid: PeriodicGrid, alpha: float, h_zeeman: float, coeffs: LLCoefficients) -> float:
     """Largest stable step of the IMEX scheme (linearization about e3).
 
-    For the worst dealiased mode K the explicit symbol is
-    sigma = K^4 - K^2 + h and the amplification condition reads
-    dt * (sigma - 2*lambda*c*K^4) <= 2*alpha; when c >= 1/(2*lambda) the
-    scheme is unconditionally stable.
+    For the worst dealiased mode K, the corner grid.dealias_cut of the 2/3
+    box, the explicit symbol is sigma = K^4 - K^2 + h and the amplification
+    condition reads dt * (sigma - 2*lambda*c*K^4) <= 2*alpha; when
+    c >= 1/(2*lambda) the scheme is unconditionally stable.
     """
-    k2 = grid.dealiased_k_max_squared()
-    sigma = k2 * k2 - k2 + h_zeeman
+    k2 = float(grid.k_squared[grid.dealias_cut])
+    sigma = float(grid.stiffness_symbol[grid.dealias_cut]) + h_zeeman
     denom = sigma - 2.0 * coeffs.lambda_coeff * coeffs.stabilizer_c * k2 * k2
     if denom <= 0.0 or sigma <= 0.0:
         return float("inf")

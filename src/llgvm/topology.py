@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ContractViolation, DegenerateSliceError
 from .grid import VectorField3, _cross, _curl_spectrum, _div_spectrum, _fft, _ifft_real, _spectral_power
 from .grid import PeriodicGrid, div, l2_norm
-from .magnetization import MagnetizationField
+from .magnetization import E3, MagnetizationField
 from .emergent import compute_b
 
 log = logging.getLogger(__name__)
@@ -72,7 +72,7 @@ def skyrmion_number(mf: MagnetizationField, z_index: int) -> float:
 
 
 def _potential_spectrum(b: VectorField3):
-    """Half spectrum of b without its k = 0 mode, and the guarded 1 / |k|^2; None for b = 0.
+    """Half spectrum of b without its k = 0 mode; None for b = 0.
 
     b must be solenoidal; its k = 0 mode has no potential and is dropped.
     """
@@ -90,17 +90,15 @@ def _potential_spectrum(b: VectorField3):
     if mean_mag > 0.0:
         log.debug("removing k=0 mode of b with magnitude %.3e", mean_mag)
     spec[:, 0, 0, 0] = 0.0
-    k2 = g.k_squared.copy()
-    k2[0, 0, 0] = 1.0
-    return spec, 1.0 / k2
+    return spec
 
 
-def _potential(g: PeriodicGrid, spectra) -> VectorField3:
+def _potential(g: PeriodicGrid, spec) -> VectorField3:
     """The Coulomb-gauge potential from _potential_spectrum's output."""
-    if spectra is None:
+    if spec is None:
         return VectorField3.zeros(g)
-    spec, inv_k2 = spectra
-    return VectorField3(g, np.stack([_ifft_real(c * inv_k2) for c in _curl_spectrum(g, spec)]))
+    spectra = _curl_spectrum(g, spec)
+    return VectorField3(g, np.stack([_ifft_real(c * g.inverse_k_squared) for c in spectra]))
 
 
 def vector_potential(b: VectorField3) -> VectorField3:
@@ -111,7 +109,7 @@ def vector_potential(b: VectorField3) -> VectorField3:
 def _check_localized(mf: MagnetizationField):
     """The texture must equal e3 on the periodic seam planes."""
     dev = 0.0
-    target = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1)
+    target = E3.reshape(3, 1, 1)
     for axis in range(3):
         face = np.take(mf.m, 0, axis=1 + axis)
         dev = max(dev, float(np.abs(face - target).max()))
@@ -121,14 +119,13 @@ def _check_localized(mf: MagnetizationField):
         )
 
 
-def _helicity(g: PeriodicGrid, spectra) -> float:
+def _helicity(g: PeriodicGrid, spec) -> float:
     """The helicity from _potential_spectrum's output."""
-    if spectra is None:
+    if spec is None:
         return 0.0
-    spec, inv_k2 = spectra
     r_x_i = _cross(spec.real, spec.imag)
     k_dot = sum(ik.imag * c for ik, c in zip(g._ik, r_x_i))  # Nyquist k is zero, as in the curl
-    return float(2.0 * g.volume * np.sum(g.parseval_weight * k_dot * inv_k2) / g.n_nodes**2)
+    return float(2.0 * g.volume * np.sum(g.parseval_weight * k_dot * g.inverse_k_squared) / g.n_nodes**2)
 
 
 def helicity(mf: MagnetizationField, b: VectorField3 | None = None) -> float:
@@ -176,8 +173,8 @@ def topology_report(mf: MagnetizationField) -> TopologyReport:
             slices.append((z, float("nan")))
     b = compute_b(mf)
     try:
-        spectra = _potential_spectrum(b)  # checked once for both
-        hel, gauge = _helicity(b.grid, spectra), l2_norm(div(_potential(b.grid, spectra)))
+        spec = _potential_spectrum(b)  # checked once for both
+        hel, gauge = _helicity(b.grid, spec), l2_norm(div(_potential(b.grid, spec)))
     except ContractViolation:
         hel = gauge = float("nan")
     return TopologyReport(

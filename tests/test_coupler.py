@@ -242,6 +242,9 @@ class TestLedger:
             EnergyLedger(-1.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(LLGVMError):
             EnergyLedger(0.0, float("nan"), 0.0, 0.0, 0.0)
+        for residual in (float("nan"), float("inf")):
+            with pytest.raises(LLGVMError):
+                EnergyLedger(0.0, 0.0, 0.0, 0.0, residual)
 
     def test_degenerate_mid_slice_reads_nan(self):
         grid = PeriodicGrid.cubic(8, 8.0)

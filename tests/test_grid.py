@@ -54,6 +54,27 @@ class TestPeriodicGrid:
         with pytest.raises(ContractViolation):
             PeriodicGrid.cubic(16, -1.0)
 
+    def test_dealias_cut_is_the_extent_of_the_mask(self):
+        g = PeriodicGrid((6, 10, 14), (3.0, 5.0, 7.0))
+        assert g.dealias_cut == (2, 3, 4)
+        for axis, (modes, cut) in enumerate(zip(g.mode_numbers, g.dealias_cut)):
+            kept = g.dealias_mask.any(axis=tuple(a for a in range(3) if a != axis))
+            assert np.abs(modes[kept]).max() == cut
+            assert np.array_equal(kept, np.abs(modes) <= cut)
+
+    def test_cached_symbols(self):
+        g = PeriodicGrid((6, 10, 14), (3.0, 5.0, 7.0))
+        k2 = g.k_squared
+        assert g.stiffness_symbol.tobytes() == (k2 * k2 - k2).tobytes()
+        guarded = k2.copy()
+        guarded[0, 0, 0] = 1.0
+        assert g.inverse_k_squared.tobytes() == (1.0 / guarded).tobytes()
+        for symbol in (g.stiffness_symbol, g.inverse_k_squared):
+            with pytest.raises(ValueError):
+                symbol[0, 0, 0] = 0.0
+            with pytest.raises(ValueError):
+                symbol *= 2.0
+
     def test_field_shape_mismatch(self, grid16):
         with pytest.raises(ContractViolation):
             ScalarField(grid16, np.zeros((8, 8, 8)))

@@ -5,6 +5,7 @@ import pytest
 
 from llgvm import (
     LLCoefficients,
+    PeriodicGrid,
     ScalarField,
     VectorField3,
     apply_a,
@@ -281,6 +282,24 @@ class TestCoefficients:
         coeffs = LLCoefficients.from_alpha(ALPHA, stabilizer_c=6.0)
         assert 2.0 * coeffs.lambda_coeff * coeffs.stabilizer_c >= 1.0
         assert dt_max(grid16, ALPHA, H_ZEEMAN, coeffs) == np.inf
+
+    @pytest.mark.parametrize(
+        "shape, box",
+        [((16,) * 3, (BOX,) * 3), ((32,) * 3, (BOX,) * 3), ((48,) * 3, (BOX,) * 3),
+         ((8, 16, 16), (BOX / 2, BOX, BOX)), ((6, 10, 14), (3.0, 5.0, 7.0))],
+        ids=lambda v: "x".join(map(str, v)),
+    )
+    def test_bound_reads_the_corner_of_the_dealiased_box(self, shape, box):
+        # the closed form of the corner mode, K^2 = sum (2 pi (N_i // 3) / L_i)^2, bitwise
+        grid = PeriodicGrid(shape, box)
+        coeffs = LLCoefficients.from_alpha(ALPHA)
+        k2 = sum((2.0 * np.pi * (n // 3) / l) ** 2 for n, l in zip(shape, box))
+        sigma = k2 * k2 - k2 + H_ZEEMAN
+        denom = sigma - 2.0 * coeffs.lambda_coeff * coeffs.stabilizer_c * k2 * k2
+        bound = dt_max(grid, ALPHA, H_ZEEMAN, coeffs)
+        assert type(bound) is float and bound == 2.0 * ALPHA / denom
+        stable = LLCoefficients.from_alpha(ALPHA, stabilizer_c=0.5 / coeffs.lambda_coeff)
+        assert dt_max(grid, ALPHA, H_ZEEMAN, stable) == np.inf
 
 
 class TestStep:
